@@ -2,9 +2,8 @@
 // estimate ~10,000 sub-plan queries within one second (Section 6.2).
 // Measures per-sub-plan estimation latency of FactorJoin's progressive
 // algorithm vs estimating every sub-plan independently (the >10x saving of
-// Section 5.2), vs the shared-leaf session path (PrepareSubplans, what the
-// serving layer's batch splitter runs per chunk), and vs Postgres/PessEst
-// per-estimate costs.
+// Section 5.2), vs the shared-leaf session path (PrepareSubplans, then the
+// session's EstimateSubplans), and vs Postgres/PessEst per-estimate costs.
 //
 // Self-timed passes over the whole workload (no external benchmark library):
 // each case is warmed once, then repeated until kMinSeconds of wall time or
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
   });
 
   // Shared-leaf session: leaves prepared once per query, masks estimated
-  // against them — the per-chunk cost of the service's batch splitter.
+  // against them — the two halves the traced benchmark run times apart.
   CaseResult session = TimeCase(total_subplans, [&] {
     for (size_t i = 0; i < queries.size(); ++i) {
       auto s = factorjoin->PrepareSubplans(queries[i]);

@@ -8,9 +8,8 @@
 // + sharded lookup per sub-plan) rather than first-touch model evaluation.
 //
 // A second section measures COLD multi-join sub-plan batches (cache
-// disabled): raw estimator batch throughput through the service, with and
-// without batch-aware splitting (EstimatorServiceOptions::
-// split_batch_min_masks) — the number the arena/kernel hot-path work moves.
+// disabled): raw estimator batch throughput through the service — the
+// number the arena/kernel hot-path work moves.
 //
 // A third section measures COLD START: training a model from scratch vs
 // restoring it from a snapshot (stats/snapshot.h — the fj_server
@@ -192,45 +191,25 @@ int main(int argc, char** argv) {
 
   // ---- Cold multi-join sub-plan batches (cache disabled): the estimator
   // hot path behind the serving layer, the regime the arena/kernel work
-  // targets. Split off vs on isolates batch-aware scheduling (parallel
-  // gains require idle workers, i.e. more cores than clients keep busy).
+  // targets.
   std::printf("\ncold multi-join batches (cache disabled, %zu requests):\n",
               requests / 4);
-  TablePrinter cold_tp({"Split", "Batches/s", "Sub-plans/s", "p99 (us)"});
-  double cold_qps_nosplit = 0.0;
-  for (bool split : {false, true}) {
+  {
     EstimatorServiceOptions options;
     options.num_threads = 4;
     options.cache_enabled = false;
-    options.split_batch_min_masks = split ? 8 : 0;
     EstimatorService service(estimator, options);
     LoadPoint p = RunLoad(service, workload->queries, masks, 8, requests / 4);
     double subplans_per_sec =
         p.qps * static_cast<double>(total_subplans) /
         static_cast<double>(workload->queries.size());
-    cold_tp.AddRow({split ? "on" : "off", Fmt(p.qps, 0),
-                    Fmt(subplans_per_sec, 0), Fmt(p.p99_micros, 1)});
-    if (!split) {
-      cold_qps_nosplit = p.qps;
-    } else if (cold_qps_nosplit > 0.0) {
-      std::printf("  split vs unsplit: %.2fx (parallel gains need idle "
-                  "cores)\n", p.qps / cold_qps_nosplit);
-      report.Add("cold_split_vs_nosplit", p.qps / cold_qps_nosplit);
-    }
-    report.Add(split ? "cold_batches_per_sec_split"
-                     : "cold_batches_per_sec_nosplit",
-               p.qps, "1/s");
-    report.Add(split ? "cold_subplans_per_sec_split"
-                     : "cold_subplans_per_sec_nosplit",
-               subplans_per_sec, "1/s");
-    if (split) {
-      ServiceStats stats = service.Stats();
-      std::printf("  (split %llu batches into %llu chunks)\n",
-                  static_cast<unsigned long long>(stats.batches_split),
-                  static_cast<unsigned long long>(stats.split_chunks));
-    }
+    TablePrinter cold_tp({"Batches/s", "Sub-plans/s", "p99 (us)"});
+    cold_tp.AddRow({Fmt(p.qps, 0), Fmt(subplans_per_sec, 0),
+                    Fmt(p.p99_micros, 1)});
+    cold_tp.Print();
+    report.Add("cold_batches_per_sec", p.qps, "1/s");
+    report.Add("cold_subplans_per_sec", subplans_per_sec, "1/s");
   }
-  cold_tp.Print();
 
   // ---- Tracing overhead: the identical warm load with per-stage tracing
   // on vs off (EstimatorServiceOptions::enable_tracing). Tracing adds a

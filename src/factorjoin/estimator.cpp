@@ -245,8 +245,8 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
   // factor for a mask splits off the lowest-bit alias whose removal keeps
   // the remainder connected (computing that remainder recursively). A mask's
   // bound is therefore a function of (query, mask) alone — the serving
-  // layer's cache can recompute an invalidated subset of a batch, and the
-  // batch splitter can chunk one mask set across workers, both still
+  // layer's cache can recompute an invalidated subset of a batch, and a
+  // session can estimate any mask subset against shared leaves, both still
   // producing values bit-identical to a full-batch run.
   std::unordered_set<uint64_t> undecomposable;
   undecomposable.reserve(masks.size());
@@ -306,7 +306,7 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
 
 /// Shared-leaf session: the leaves (and their arena) live as long as the
 /// session; every EstimateSubplans call joins against them with a private
-/// arena, so concurrent chunked calls never touch shared mutable state.
+/// arena, so concurrent calls never touch shared mutable state.
 class FactorJoinEstimator::Session : public CardinalityEstimator::SubplanSession {
  public:
   Session(const FactorJoinEstimator* owner, Query query)

@@ -83,8 +83,8 @@ class FactorJoinEstimator : public CardinalityEstimator {
   /// EstimateSubplans calls on the session then run the progressive
   /// decomposition against the shared leaves with a per-call join arena.
   /// Thread-safe and bit-identical to EstimateSubplans on any mask subset
-  /// (the decomposition is canonical) — the serving layer uses this to
-  /// split one large batch across its worker pool.
+  /// (the decomposition is canonical), which lets a profiler time leaf
+  /// building apart from the join bounds.
   std::unique_ptr<SubplanSession> PrepareSubplans(
       const Query& query) const override;
 
@@ -134,7 +134,7 @@ class FactorJoinEstimator : public CardinalityEstimator {
   size_t num_key_groups() const { return group_binnings_.size(); }
 
  private:
-  class Session;  // SubplanSession sharing leaf factors across chunks
+  class Session;  // SubplanSession sharing leaf factors across calls
 
   struct UntrainedTag {};
   FactorJoinEstimator(const Database& db, UntrainedTag) : db_(&db) {}

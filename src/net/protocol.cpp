@@ -264,9 +264,6 @@ std::vector<uint8_t> EncodeServiceStats(const ServiceStats& stats) {
   w.U64(stats.subplan_requests);
   w.U64(stats.subplans_estimated);
   w.U64(stats.errors);
-  w.U64(stats.batches_split);
-  w.U64(stats.split_chunks);
-  w.U64(stats.fresh_first_pops);
   w.U64(stats.updates_notified);
   w.U64(stats.epoch);
   w.U64(stats.pending_requests);
@@ -275,7 +272,6 @@ std::vector<uint8_t> EncodeServiceStats(const ServiceStats& stats) {
   w.U64(stats.cache.misses);
   w.U64(stats.cache.evictions);
   w.U64(stats.cache.invalidations);
-  w.U64(stats.cache.cost_weighted_evictions);
   w.U64(stats.cache.entries);
   w.U64(stats.slow_requests);
   w.U64(stats.slow_suppressed);
@@ -294,9 +290,6 @@ ServiceStats DecodeServiceStats(const std::vector<uint8_t>& body) {
   stats.subplan_requests = r.U64();
   stats.subplans_estimated = r.U64();
   stats.errors = r.U64();
-  stats.batches_split = r.U64();
-  stats.split_chunks = r.U64();
-  stats.fresh_first_pops = r.U64();
   stats.updates_notified = r.U64();
   stats.epoch = r.U64();
   stats.pending_requests = r.U64();
@@ -305,7 +298,6 @@ ServiceStats DecodeServiceStats(const std::vector<uint8_t>& body) {
   stats.cache.misses = r.U64();
   stats.cache.evictions = r.U64();
   stats.cache.invalidations = r.U64();
-  stats.cache.cost_weighted_evictions = r.U64();
   stats.cache.entries = r.U64();
   stats.slow_requests = r.U64();
   stats.slow_suppressed = r.U64();

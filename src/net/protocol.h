@@ -46,6 +46,11 @@ using ProtocolError = SerializeError;
 /// "FJN" + version byte of the *magic*, not the protocol (the protocol
 /// version is negotiated separately in the hello body).
 inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
+/// Version 5: the stats body drops four u64 counters whose machinery was
+/// removed — the three batch-scheduling counters after `errors` and the
+/// cost-weighted eviction count after the cache's `invalidations`. A v4
+/// peer decoding a v5 body would misread every later field, so the shrink
+/// needs its own version.
 /// Version 4: the stats body gains the slow-log rate-limiter's suppressed
 /// counter right after slow_requests. Negotiation is exact-match, so the
 /// added field needs its own version — a v3 peer decoding a v4 body would
@@ -59,7 +64,7 @@ inline constexpr uint32_t kProtocolMagic = 0x464A4E31;  // "FJN1"
 /// Version 2 added model-id routing and the batch-split counters.
 /// Older handshakes are rejected cleanly (kError naming both versions),
 /// never half-spoken.
-inline constexpr uint16_t kProtocolVersion = 4;
+inline constexpr uint16_t kProtocolVersion = 5;
 
 /// Frames larger than this are rejected at the length prefix (both sides).
 inline constexpr uint32_t kDefaultMaxFrameBytes = 64u << 20;

@@ -68,15 +68,6 @@ void AppendServiceSamples(const std::string& model,
   out->push_back(Counter("fj_errors_total",
                          "Requests completed with an error.", m,
                          stats.errors));
-  out->push_back(Counter("fj_batches_split_total",
-                         "Batched requests split across workers.", m,
-                         stats.batches_split));
-  out->push_back(Counter("fj_split_chunks_total",
-                         "Chunks produced by split batches.", m,
-                         stats.split_chunks));
-  out->push_back(Counter("fj_fresh_first_pops_total",
-                         "Fresh requests scheduled ahead of split helpers.",
-                         m, stats.fresh_first_pops));
   out->push_back(Counter("fj_updates_notified_total",
                          "Data-update notifications received.", m,
                          stats.updates_notified));

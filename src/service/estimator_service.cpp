@@ -23,8 +23,7 @@ EstimatorService::EstimatorService(const CardinalityEstimator& estimator,
                                    EstimatorServiceOptions options)
     : estimator_(estimator),
       options_(options),
-      cache_(options.cache_capacity, options.cache_shards, &epochs_,
-             options.cost_aware_eviction),
+      cache_(options.cache_capacity, options.cache_shards, &epochs_),
       queue_(options.queue_capacity),
       slow_log_(options.slow_request_micros, options.slow_log_sink,
                 options.model_name, options.slow_log_per_second,
@@ -126,14 +125,10 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateSubplans(
 
 void EstimatorService::WorkerLoop() {
   while (auto req = queue_.Pop()) {
-    // Internal split helpers are not client requests: they never counted
-    // into pending_, so they must not decrement it either.
-    bool helper = (*req)->split != nullptr;
     Serve(**req);
     // The request counts as pending until after its promise is fulfilled,
     // so Drain() returning means every accepted future is ready.
-    if (!helper &&
-        pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(drain_mu_);
       drained_.notify_all();
     }
@@ -148,110 +143,7 @@ void EstimatorService::Drain() {
   });
 }
 
-void EstimatorService::SplitJob::RunChunks() {
-  for (;;) {
-    size_t i = next.fetch_add(1, std::memory_order_acq_rel);
-    if (i >= chunks.size()) return;
-    try {
-      results[i] = session->EstimateSubplans(chunks[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks.size()) {
-      std::lock_guard<std::mutex> lock(mu);
-      finished.notify_all();
-    }
-  }
-}
-
-void EstimatorService::SplitJob::Wait() {
-  std::unique_lock<std::mutex> lock(mu);
-  finished.wait(lock, [&] {
-    return done.load(std::memory_order_acquire) == chunks.size();
-  });
-}
-
-std::unordered_map<uint64_t, double> EstimatorService::EstimateMisses(
-    const Query& query, const std::vector<uint64_t>& miss_masks,
-    obs::RequestTrace* trace) {
-  size_t threshold = options_.split_batch_min_masks;
-  size_t workers = workers_.size();
-  if (threshold == 0 || workers < 2 || miss_masks.size() < threshold) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-  }
-  // Chunking pays only when the estimator can front-load the shared
-  // (mask-independent) work; estimators without a session keep the
-  // single-call path.
-  std::unique_ptr<CardinalityEstimator::SubplanSession> session =
-      estimator_.PrepareSubplans(query);
-  if (session == nullptr) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-  }
-  size_t chunk_target = std::max<size_t>(threshold / 2, 1);
-  size_t num_chunks = std::min(workers, miss_masks.size() / chunk_target);
-  if (num_chunks < 2) {
-    return estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-  }
-  // Split path: the kernel span covers the chunked estimation below,
-  // including time spent waiting for helper chunks — from the request's
-  // perspective, all of it is estimation.
-  obs::SpanTimer kernel_span;
-
-  auto job = std::make_shared<SplitJob>();
-  job->session = session.get();
-  job->chunks.resize(num_chunks);
-  job->results.resize(num_chunks);
-  job->errors.resize(num_chunks);
-  size_t per_chunk = (miss_masks.size() + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    // Clamp both ends: with ceil-divided chunk sizes the last chunks can
-    // start past the end (e.g. 5 masks over 4 chunks of 2) and simply come
-    // out empty.
-    size_t begin = std::min(c * per_chunk, miss_masks.size());
-    size_t end = std::min(begin + per_chunk, miss_masks.size());
-    job->chunks[c].assign(miss_masks.begin() + static_cast<long>(begin),
-                          miss_masks.begin() + static_cast<long>(end));
-  }
-  batches_split_.fetch_add(1, std::memory_order_relaxed);
-  split_chunks_.fetch_add(num_chunks, std::memory_order_relaxed);
-
-  // Offer helper tasks to idle workers — best effort (TryPush): if the
-  // queue is full or closed, the serving worker simply runs those chunks
-  // itself, so splitting can never block or deadlock. Helpers are NOT
-  // counted in pending_: the gauge (and Drain) tracks client requests, and
-  // the parent request stays pending until every chunk finished — once all
-  // parents are served, leftover helpers are claim-nothing no-ops.
-  for (size_t h = 0; h + 1 < num_chunks; ++h) {
-    auto helper = std::make_unique<Request>();
-    helper->split = job;
-    // prefer_fresh_requests: helpers ride the low-priority lane so a small
-    // fresh batch arriving behind them is popped first.
-    bool offered = options_.prefer_fresh_requests
-                       ? queue_.TryPushLow(std::move(helper))
-                       : queue_.TryPush(std::move(helper));
-    if (!offered) break;
-  }
-  job->RunChunks();
-  job->Wait();
-
-  std::unordered_map<uint64_t, double> merged;
-  merged.reserve(miss_masks.size());
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (job->errors[c] != nullptr) std::rethrow_exception(job->errors[c]);
-    merged.merge(job->results[c]);
-  }
-  kernel_span.Record(trace, obs::Stage::kEstimate);
-  return merged;
-}
-
 void EstimatorService::Serve(Request& req) {
-  if (req.split != nullptr) {
-    // Batch-split helper: join the job's work-claiming loop. Completion
-    // bookkeeping (promise/callback/stats) belongs to the serving worker of
-    // the parent request.
-    req.split->RunChunks();
-    return;
-  }
   const bool tracing = options_.enable_tracing;
   // Spans are recorded straight into the request's sink (so pre-filled
   // stages like the net server's decode span survive) or a stack-local
@@ -381,10 +273,9 @@ double EstimatorService::ServeSingle(const Query& query,
   // and dies on its next lookup instead of serving a stale estimate forever.
   uint64_t epoch = epochs_.Epoch();
   uint64_t table_bits = epochs_.BitsFor(query.BaseTables());
-  WallTimer compute;
   double estimate = estimator_.EstimateTraced(query, trace);
   obs::SpanTimer insert_span;
-  cache_.Insert(fp, estimate, table_bits, epoch, compute.Micros());
+  cache_.Insert(fp, estimate, table_bits, epoch);
   insert_span.Record(trace, obs::Stage::kCacheProbe);
   return estimate;
 }
@@ -392,13 +283,27 @@ double EstimatorService::ServeSingle(const Query& query,
 std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     const Query& query, const std::vector<uint64_t>& masks,
     obs::RequestTrace* trace) {
-  std::unordered_map<uint64_t, double> out;
-  out.reserve(masks.size());
+  // Masks arrive from untrusted clients. A bit at or past NumTables() names
+  // no alias: InducedSubquery would silently drop it (so the mask could hit
+  // another mask's cache entry), and the insert loop below would index
+  // alias_bits out of bounds. Reject the whole request, cache on or off.
+  uint64_t all = query.NumTables() >= 64
+                     ? ~uint64_t{0}
+                     : (uint64_t{1} << query.NumTables()) - 1;
+  for (uint64_t mask : masks) {
+    if ((mask & ~all) != 0) {
+      throw std::out_of_range(
+          "EstimateSubplans: mask has bits past the query's alias count");
+    }
+  }
   if (!options_.cache_enabled) {
-    out = EstimateMisses(query, masks, trace);
+    std::unordered_map<uint64_t, double> out =
+        estimator_.EstimateSubplansTraced(query, masks, trace);
     subplans_estimated_.fetch_add(masks.size(), std::memory_order_relaxed);
     return out;
   }
+  std::unordered_map<uint64_t, double> out;
+  out.reserve(masks.size());
 
   // Resolve each sub-plan against the cache by its canonical fingerprint;
   // a sub-plan estimated under a *different* parent query still hits. The
@@ -426,19 +331,12 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   }
   probe_span.Record(trace, obs::Stage::kCacheProbe);
 
-  // The misses go to the estimator together so its shared computation is
+  // The misses go to the estimator in one call so its shared computation is
   // preserved (FactorJoin estimates each leaf factor once for the whole
-  // batch); EstimateMisses splits a large miss set into per-worker chunks
-  // that still share one leaf computation via PrepareSubplans.
+  // batch).
   if (!miss_masks.empty()) {
-    WallTimer compute;
     std::unordered_map<uint64_t, double> fresh =
-        EstimateMisses(query, miss_masks, trace);
-    // Per-entry recompute cost for cost-aware eviction: the batch's shared
-    // computation makes per-mask attribution meaningless, so every entry
-    // carries the amortized cost.
-    double cost_micros = compute.Micros() /
-                         static_cast<double>(miss_masks.size());
+        estimator_.EstimateSubplansTraced(query, miss_masks, trace);
     // Table bits per alias, resolved once per batch: the per-entry loop
     // below must stay free of registry locks and allocations (a batch can
     // carry ~10k masks).
@@ -460,7 +358,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
         table_bits |= alias_bits[static_cast<size_t>(std::countr_zero(m))];
         m &= m - 1;
       }
-      cache_.Insert(miss_fps[i], it->second, table_bits, epoch, cost_micros);
+      cache_.Insert(miss_fps[i], it->second, table_bits, epoch);
       ++produced;
     }
     insert_span.Record(trace, obs::Stage::kCacheProbe);
@@ -476,9 +374,6 @@ ServiceStats EstimatorService::Stats() const {
   stats.subplans_estimated =
       subplans_estimated_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.batches_split = batches_split_.load(std::memory_order_relaxed);
-  stats.split_chunks = split_chunks_.load(std::memory_order_relaxed);
-  stats.fresh_first_pops = queue_.LowBypasses();
   // One atomic read feeds both fields: NotifyUpdate bumps the global epoch
   // exactly once per call, so the epoch IS the notification count and a
   // snapshot can never observe them mid-update (the old separate counter

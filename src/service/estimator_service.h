@@ -68,28 +68,6 @@ struct EstimatorServiceOptions {
   size_t cache_shards = 16;
   /// Disable to measure raw estimator throughput.
   bool cache_enabled = true;
-  /// Batch-aware scheduling: a batched request whose cache-missed mask count
-  /// reaches this threshold is split into per-worker chunks sharing one
-  /// leaf-factor computation (CardinalityEstimator::PrepareSubplans), so a
-  /// 10k-sub-plan batch stops monopolizing a single worker slot. Chunks are
-  /// offered to idle workers and claimed work-stealing style; the serving
-  /// worker always makes progress itself, so splitting never deadlocks even
-  /// on a loaded single-worker pool. 0 disables splitting. Split results
-  /// are bit-identical to the unsplit batch (the estimator's canonical
-  /// decomposition is mask-set independent).
-  size_t split_batch_min_masks = 512;
-  /// Weight cache eviction by recorded estimation latency (see
-  /// ShardedEstimateCache): victims are picked among the least-recently-used
-  /// tail by cheapest-to-recompute first.
-  bool cost_aware_eviction = false;
-  /// Schedule newly arriving client requests ahead of queued batch-split
-  /// helper chunks: helpers go into the queue's low-priority lane, so a
-  /// small fresh batch never waits behind a 10k-mask split's backlog. The
-  /// split batch itself loses nothing — its serving worker keeps claiming
-  /// chunks regardless (work stealing just gets less help while fresh
-  /// requests exist). ServiceStats::fresh_first_pops counts how often the
-  /// reordering fired.
-  bool prefer_fresh_requests = false;
   /// Per-request stage spans (obs/request_trace.h): queue wait, cache
   /// probe, estimate kernel, and respond times recorded into the per-stage
   /// histograms of ServiceStats::stages and into any per-request trace
@@ -174,7 +152,9 @@ class EstimatorService {
   /// use Query::tables() bit order, as in EnumerateConnectedSubsets). Cached
   /// sub-plans are reused; the misses go to the estimator in one
   /// EstimateSubplans call so progressive sharing (FactorJoin) is preserved.
-  /// Thread-safe; same blocking/shutdown behavior as EstimateAsync.
+  /// A mask with a bit at or past query.NumTables() fails the whole request
+  /// with std::out_of_range. Thread-safe; same blocking/shutdown behavior as
+  /// EstimateAsync.
   std::future<std::unordered_map<uint64_t, double>> EstimateSubplansAsync(
       Query query, std::vector<uint64_t> masks);
 
@@ -232,27 +212,6 @@ class EstimatorService {
   const EstimatorServiceOptions& options() const { return options_; }
 
  private:
-  /// Shared state of one split batch: contiguous mask chunks claimed by an
-  /// atomic cursor (work stealing — idle workers help, the serving worker
-  /// claims until empty so progress never depends on anyone else), results
-  /// and errors per chunk, and a latch the serving worker waits on.
-  struct SplitJob {
-    const CardinalityEstimator::SubplanSession* session = nullptr;
-    std::vector<std::vector<uint64_t>> chunks;
-    std::vector<std::unordered_map<uint64_t, double>> results;
-    std::vector<std::exception_ptr> errors;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex mu;
-    std::condition_variable finished;
-
-    /// Claims and runs chunks until none are left. Safe to call from any
-    /// number of threads.
-    void RunChunks();
-    /// Blocks until every chunk completed (call after RunChunks returned).
-    void Wait();
-  };
-
   struct Request {
     Query query;
     std::vector<uint64_t> masks;  // batched iff non-empty
@@ -263,9 +222,6 @@ class EstimatorService {
     // the promise being fulfilled.
     EstimateCallback single_cb;
     SubplansCallback batch_cb;
-    // Internal helper request: the worker joins this split job instead of
-    // serving a client request (no promise, no stats).
-    std::shared_ptr<SplitJob> split;
     // Per-request trace destination (callback variants): the worker records
     // spans straight into it so pre-filled stages (net decode) survive.
     std::shared_ptr<obs::RequestTrace> trace_sink;
@@ -289,11 +245,6 @@ class EstimatorService {
   double ServeSingle(const Query& query, obs::RequestTrace* trace);
   std::unordered_map<uint64_t, double> ServeBatch(
       const Query& query, const std::vector<uint64_t>& masks,
-      obs::RequestTrace* trace);
-  /// Estimates the cache-missed masks of a batch, splitting across workers
-  /// when the batch is large enough (see split_batch_min_masks).
-  std::unordered_map<uint64_t, double> EstimateMisses(
-      const Query& query, const std::vector<uint64_t>& miss_masks,
       obs::RequestTrace* trace);
 
   const CardinalityEstimator& estimator_;
@@ -320,8 +271,6 @@ class EstimatorService {
   std::atomic<uint64_t> subplan_requests_{0};
   std::atomic<uint64_t> subplans_estimated_{0};
   std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> batches_split_{0};
-  std::atomic<uint64_t> split_chunks_{0};
   // Completed requests, counted in FinishRequest — the flight recorder's
   // every-Nth sampling ticket.
   std::atomic<uint64_t> finished_{0};

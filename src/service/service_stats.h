@@ -24,19 +24,6 @@ struct ServiceStats {
   uint64_t subplans_estimated = 0;
   /// Requests whose promise was fulfilled with an exception.
   uint64_t errors = 0;
-  /// Batched requests whose cache-miss set was split into per-worker chunks
-  /// (batch-aware scheduling; see
-  /// EstimatorServiceOptions::split_batch_min_masks).
-  uint64_t batches_split = 0;
-  /// Total chunks produced by split batches (avg chunk fan-out =
-  /// split_chunks / batches_split).
-  uint64_t split_chunks = 0;
-  /// Times a newly arriving client request was scheduled ahead of queued
-  /// batch-split helper chunks (EstimatorServiceOptions::
-  /// prefer_fresh_requests; always 0 while the option is off). Split
-  /// batches lose nothing — the serving worker keeps claiming chunks
-  /// itself — but small fresh requests stop waiting behind them.
-  uint64_t fresh_first_pops = 0;
   /// NotifyUpdate calls received (data-update notifications). Always equals
   /// `epoch`: both are captured from one atomic read of the epoch registry,
   /// which NotifyUpdate bumps exactly once per call (the separate counter
@@ -47,13 +34,9 @@ struct ServiceStats {
   uint64_t epoch = 0;
   /// Gauge: client requests accepted but not yet served at snapshot time
   /// (queued plus in-flight on workers) — what Drain() waits to reach zero.
-  /// Internal batch-split helper tasks are excluded: a split batch counts
-  /// once, as its parent request, until every chunk finished.
   uint64_t pending_requests = 0;
-  /// Gauge: entries sitting in the queue, not yet picked up by a worker.
-  /// pending_requests - queue_depth approximates in-flight work; while a
-  /// large batch is being split, short-lived internal helper tasks can
-  /// appear here without a matching pending request.
+  /// Gauge: requests sitting in the queue, not yet picked up by a worker.
+  /// pending_requests - queue_depth approximates in-flight work.
   uint64_t queue_depth = 0;
   /// Slow-request log lines emitted (see
   /// EstimatorServiceOptions::slow_request_micros; 0 while disabled).

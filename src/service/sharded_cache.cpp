@@ -1,14 +1,12 @@
 #include "service/sharded_cache.h"
 
 #include <bit>
-#include <iterator>
 
 namespace fj {
 
 ShardedEstimateCache::ShardedEstimateCache(size_t capacity, size_t num_shards,
-                                           const TableEpochRegistry* epochs,
-                                           bool cost_aware)
-    : epochs_(epochs), cost_aware_(cost_aware) {
+                                           const TableEpochRegistry* epochs)
+    : epochs_(epochs) {
   size_t shards = std::bit_ceil(num_shards == 0 ? size_t{1} : num_shards);
   shard_mask_ = shards - 1;
   per_shard_capacity_ = (capacity + shards - 1) / shards;
@@ -44,40 +42,22 @@ std::optional<double> ShardedEstimateCache::Lookup(const QueryFingerprint& key) 
 
 void ShardedEstimateCache::EvictOne(Shard& shard) {
   ++shard.evictions;
-  if (!cost_aware_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    return;
-  }
-  // Cost-aware: among the kCostWindow least-recently-used entries, evict
-  // the one that was cheapest to compute — recency breaks ties (the scan
-  // runs back-to-front and only a strictly cheaper entry displaces the
-  // current victim, so plain LRU behavior is preserved among equal costs).
-  auto victim = std::prev(shard.lru.end());
-  auto it = victim;
-  for (size_t i = 1; i < kCostWindow && it != shard.lru.begin(); ++i) {
-    --it;
-    if (it->second.cost_micros < victim->second.cost_micros) victim = it;
-  }
-  if (victim != std::prev(shard.lru.end())) ++shard.cost_weighted_evictions;
-  shard.index.erase(victim->first);
-  shard.lru.erase(victim);
+  shard.index.erase(shard.lru.back().first);
+  shard.lru.pop_back();
 }
 
 void ShardedEstimateCache::Insert(const QueryFingerprint& key, double value,
-                                  uint64_t table_bits, uint64_t epoch,
-                                  double cost_micros) {
+                                  uint64_t table_bits, uint64_t epoch) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = CachedEstimate{value, epoch, table_bits, cost_micros};
+    it->second->second = CachedEstimate{value, epoch, table_bits};
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
   if (shard.lru.size() >= per_shard_capacity_) EvictOne(shard);
-  shard.lru.emplace_front(key,
-                          CachedEstimate{value, epoch, table_bits, cost_micros});
+  shard.lru.emplace_front(key, CachedEstimate{value, epoch, table_bits});
   shard.index.emplace(key, shard.lru.begin());
 }
 
@@ -97,7 +77,6 @@ CacheStats ShardedEstimateCache::Stats() const {
     stats.misses += shard->misses;
     stats.evictions += shard->evictions;
     stats.invalidations += shard->invalidations;
-    stats.cost_weighted_evictions += shard->cost_weighted_evictions;
     stats.entries += shard->lru.size();
   }
   return stats;

@@ -91,18 +91,18 @@ class CardinalityEstimator {
     /// Estimates the given masks against the prepared state. Thread-safe:
     /// any number of threads may call concurrently on one session, and the
     /// values are bit-identical to a single EstimateSubplans(query, masks)
-    /// call with any superset of the masks (the serving layer splits one
-    /// large batch across workers and merges the chunk results relying on
-    /// exactly this).
+    /// call with any superset of the masks, so a batch can be timed as its
+    /// two halves (leaf building, then join bounds) without changing a
+    /// value.
     virtual std::unordered_map<uint64_t, double> EstimateSubplans(
         const std::vector<uint64_t>& masks) const = 0;
   };
 
-  /// Prepares shared state for estimating many sub-plan masks of `query`,
-  /// so a large batch can be chunked across threads without redoing the
-  /// mask-independent work per chunk. Returns nullptr when the method has
-  /// no shared computation worth preparing (the default — callers must fall
-  /// back to EstimateSubplans). The session borrows the estimator and must
+  /// Prepares shared state for estimating many sub-plan masks of `query`:
+  /// the mask-independent work runs here, once, and every session call
+  /// reuses it. Returns nullptr when the method has no shared computation
+  /// worth preparing (the default — callers must fall back to
+  /// EstimateSubplans). The session borrows the estimator and must
   /// not outlive it; like estimation it must not run concurrently with
   /// ApplyInsert/ApplyDelete.
   virtual std::unique_ptr<SubplanSession> PrepareSubplans(

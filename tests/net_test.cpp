@@ -334,9 +334,6 @@ TEST(ProtocolTest, ServiceStatsRoundTrip) {
   stats.subplan_requests = 22;
   stats.subplans_estimated = 333;
   stats.errors = 1;
-  stats.batches_split = 6;
-  stats.split_chunks = 18;
-  stats.fresh_first_pops = 7;
   stats.updates_notified = 4;
   stats.epoch = 4;
   stats.pending_requests = 9;
@@ -345,7 +342,6 @@ TEST(ProtocolTest, ServiceStatsRoundTrip) {
   stats.cache.misses = 50;
   stats.cache.evictions = 3;
   stats.cache.invalidations = 2;
-  stats.cache.cost_weighted_evictions = 1;
   stats.cache.entries = 77;
   stats.slow_requests = 3;
   stats.slow_suppressed = 17;
@@ -363,11 +359,6 @@ TEST(ProtocolTest, ServiceStatsRoundTrip) {
   EXPECT_EQ(back.subplan_requests, stats.subplan_requests);
   EXPECT_EQ(back.subplans_estimated, stats.subplans_estimated);
   EXPECT_EQ(back.errors, stats.errors);
-  EXPECT_EQ(back.batches_split, stats.batches_split);
-  EXPECT_EQ(back.split_chunks, stats.split_chunks);
-  EXPECT_EQ(back.fresh_first_pops, stats.fresh_first_pops);
-  EXPECT_EQ(back.cache.cost_weighted_evictions,
-            stats.cache.cost_weighted_evictions);
   EXPECT_EQ(back.updates_notified, stats.updates_notified);
   EXPECT_EQ(back.epoch, stats.epoch);
   EXPECT_EQ(back.pending_requests, stats.pending_requests);
@@ -563,6 +554,25 @@ TEST(RemoteTest, ServerErrorsArriveAsRemoteError) {
   EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
 }
 
+// A sub-plan mask with bits past the query's alias count is a request error,
+// not a cache hit: with {u} cached, mask u | bit 40 must not be served the
+// cached {u} value.
+TEST(RemoteTest, OutOfRangeMaskArrivesAsRemoteError) {
+  RemoteStack stack;
+  Query q = ChainQuery(30, 250);
+  auto masks = EnumerateConnectedSubsets(q, 1);
+  auto warm = stack.client->EstimateSubplans(q, masks);
+  try {
+    stack.client->EstimateSubplans(q, {1 | (uint64_t{1} << 40)});
+    FAIL() << "expected RemoteError";
+  } catch (const RemoteError& e) {
+    EXPECT_NE(std::string(e.what()).find("mask"), std::string::npos);
+  }
+  // The connection survives, and valid masks still hit the cache.
+  auto again = stack.client->EstimateSubplans(q, masks);
+  for (uint64_t mask : masks) EXPECT_EQ(again.at(mask), warm.at(mask));
+}
+
 TEST(RemoteTest, NotifyUpdateAndStatsRpcs) {
   RemoteStack stack;
   Query q = ChainQuery(30, 250);
@@ -631,9 +641,12 @@ TEST(RemoteTest, TruncatedFrameMidBodyDropsConnection) {
 TEST(RemoteTest, HandshakeVersionMismatchRejected) {
   RemoteStack stack;
   // A from-the-future version and every retired one (v1 requests lack the
-  // model-id field; v2 lacks the trace flag and histogram stats bodies)
-  // must be rejected cleanly at the handshake, never half-spoken.
-  for (uint16_t version : {uint16_t{99}, uint16_t{1}, uint16_t{2}}) {
+  // model-id field; v2 lacks the trace flag and histogram stats bodies; v3
+  // lacks the slow-log suppressed counter; v4 stats bodies carry four
+  // counters v5 dropped) must be rejected cleanly at the handshake, never
+  // half-spoken.
+  for (uint16_t version :
+       {uint16_t{99}, uint16_t{1}, uint16_t{2}, uint16_t{3}, uint16_t{4}}) {
     int fd = net::ConnectSocket(stack.server.endpoint());
     net::Hello hello;
     hello.version = version;

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/postgres_estimator.h"
 #include "factorjoin/estimator.h"
 #include "query/subplan.h"
 #include "service/estimator_service.h"
@@ -842,8 +843,55 @@ TEST(ServiceTest, CacheDisabledStillCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-aware scheduling: large batches split across workers via the
-// estimator's PrepareSubplans session.
+// Sub-plan masks from untrusted callers.
+
+// A mask bit at or past NumTables() names no alias. The service rejects the
+// whole batch with std::out_of_range before any cache lookup, whatever the
+// estimator would make of it: PostgresEstimator's per-mask fallback would
+// estimate the empty induced query, and a FactorJoin batch would serve the
+// cached entry of the mask's in-range bits.
+TEST(ServiceTest, MaskBitsPastAliasCountAreRejected) {
+  Database db = MakeDb();
+  Query q;
+  q.AddTable("users", "u").AddTable("orders", "o");
+  q.AddJoin("u", "id", "o", "user_id");
+  const uint64_t past = uint64_t{1} << 40;
+
+  PostgresEstimator postgres(db);
+  EstimatorService pg_service(postgres, {.num_threads = 2});
+  EXPECT_THROW(pg_service.EstimateSubplans(q, {past}), std::out_of_range);
+  EXPECT_THROW(pg_service.EstimateSubplans(q, {1, 2, 3, past}),
+               std::out_of_range);
+  EXPECT_EQ(pg_service.Stats().errors, 2u);
+  EXPECT_EQ(pg_service.Stats().cache.entries, 0u);
+
+  FactorJoinEstimator estimator = MakeEstimator(db);
+  EstimatorService service(estimator, {.num_threads = 2});
+  auto warm = service.EstimateSubplans(q, {1, 2, 3});
+  EXPECT_THROW(service.EstimateSubplans(q, {1 | past}), std::out_of_range);
+  // The callback variant reports the same error instead of a value.
+  std::promise<std::exception_ptr> reported;
+  service.EstimateSubplansAsync(
+      q, {1 | past},
+      [&](std::unordered_map<uint64_t, double> result,
+          std::exception_ptr error) {
+        EXPECT_TRUE(result.empty());
+        reported.set_value(error);
+      });
+  std::exception_ptr error = reported.get_future().get();
+  ASSERT_NE(error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(error), std::out_of_range);
+  // Cache off, the same request fails the same way.
+  EstimatorService uncached(estimator,
+                            {.num_threads = 2, .cache_enabled = false});
+  EXPECT_THROW(uncached.EstimateSubplans(q, {1 | past}), std::out_of_range);
+  // Valid masks are still served, from the warm cache.
+  auto again = service.EstimateSubplans(q, {1, 2, 3});
+  for (uint64_t mask : {1, 2, 3}) EXPECT_EQ(again.at(mask), warm.at(mask));
+}
+
+// ---------------------------------------------------------------------------
+// Shared-leaf sub-plan sessions (CardinalityEstimator::PrepareSubplans).
 
 TEST(ServiceTest, SubplanSessionMatchesBatchBitForBit) {
   Database db = MakeDb();
@@ -873,80 +921,13 @@ TEST(ServiceTest, SubplanSessionMatchesBatchBitForBit) {
   }
 }
 
-TEST(ServiceTest, SplitBatchBitIdenticalToUnsplit) {
+// TSAN target: concurrent batches probe and fill the cache while updates
+// bump epochs and invalidate its entries — the epoch registry and the
+// cache's staleness checks must stay race-free.
+TEST(ServiceTest, BatchesRaceNotifyUpdate) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  auto serial = estimator.EstimateSubplans(q, masks);
-
-  EstimatorServiceOptions options;
-  options.num_threads = 4;
-  options.cache_enabled = false;
-  options.split_batch_min_masks = 2;  // force splitting for the small batch
-  EstimatorService service(estimator, options);
-  auto split = service.EstimateSubplans(q, masks);
-  ASSERT_EQ(split.size(), serial.size());
-  for (const auto& [mask, value] : serial) {
-    EXPECT_EQ(split.at(mask), value) << "mask " << mask;
-  }
-  ServiceStats stats = service.Stats();
-  EXPECT_GE(stats.batches_split, 1u);
-  EXPECT_GE(stats.split_chunks, 2u);
-}
-
-TEST(ServiceTest, SplitBatchPopulatesCacheLikeUnsplit) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-
-  EstimatorServiceOptions split_options;
-  split_options.num_threads = 4;
-  split_options.split_batch_min_masks = 2;
-  EstimatorService split_service(estimator, split_options);
-  EstimatorServiceOptions plain_options;
-  plain_options.num_threads = 4;
-  plain_options.split_batch_min_masks = 0;  // splitting disabled
-  EstimatorService plain_service(estimator, plain_options);
-
-  auto split_cold = split_service.EstimateSubplans(q, masks);
-  auto plain_cold = plain_service.EstimateSubplans(q, masks);
-  auto split_warm = split_service.EstimateSubplans(q, masks);
-  for (uint64_t mask : masks) {
-    EXPECT_EQ(split_cold.at(mask), plain_cold.at(mask)) << "mask " << mask;
-    EXPECT_EQ(split_warm.at(mask), plain_cold.at(mask)) << "mask " << mask;
-  }
-  EXPECT_EQ(plain_service.Stats().batches_split, 0u);
-  EXPECT_GE(split_service.Stats().cache.hits, masks.size());
-}
-
-TEST(ServiceTest, SplitBatchOnSingleWorkerPoolFallsBack) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  EstimatorServiceOptions options;
-  options.num_threads = 1;
-  options.cache_enabled = false;
-  options.split_batch_min_masks = 2;
-  EstimatorService service(estimator, options);
-  auto got = service.EstimateSubplans(q, masks);
-  auto serial = estimator.EstimateSubplans(q, masks);
-  for (uint64_t mask : masks) EXPECT_EQ(got.at(mask), serial.at(mask));
-  EXPECT_EQ(service.Stats().batches_split, 0u);
-}
-
-// TSAN target: split batches fan work across workers while updates bump
-// epochs and invalidate cache entries — the scheduling, the epoch registry
-// and the shared session must stay race-free.
-TEST(ServiceTest, SplitBatchesRaceNotifyUpdate) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  EstimatorServiceOptions options;
-  options.num_threads = 4;
-  options.split_batch_min_masks = 2;
-  EstimatorService service(estimator, options);
+  EstimatorService service(estimator, {.num_threads = 4});
   std::vector<Query> queries = MakeWorkload(8);
   std::vector<std::vector<uint64_t>> masks;
   for (const Query& q : queries) {
@@ -974,158 +955,7 @@ TEST(ServiceTest, SplitBatchesRaceNotifyUpdate) {
   stop.store(true);
   updater.join();
   service.Drain();
-  EXPECT_GE(service.Stats().batches_split, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Fresh-request priority (prefer_fresh_requests).
-
-// The queue mechanics, deterministically: low-lane items are only popped
-// once the normal lane is empty, and LowBypasses counts each time a
-// normal-lane pop overtook waiting low-lane work.
-TEST(MpmcQueueTest, LowPriorityLaneYieldsToFreshItems) {
-  MpmcQueue<int> queue(8);
-  ASSERT_TRUE(queue.TryPushLow(100));  // "split chunk" helpers
-  ASSERT_TRUE(queue.TryPushLow(101));
-  ASSERT_TRUE(queue.Push(1));  // "fresh" client requests arriving after
-  ASSERT_TRUE(queue.Push(2));
-  EXPECT_EQ(queue.Size(), 4u);
-
-  // Fresh items first, despite being pushed later...
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_EQ(queue.Pop(), 2);
-  EXPECT_EQ(queue.LowBypasses(), 2u);
-  // ...then the low lane drains FIFO.
-  EXPECT_EQ(queue.Pop(), 100);
-  EXPECT_EQ(queue.Pop(), 101);
-  EXPECT_EQ(queue.LowBypasses(), 2u);
-
-  // Both lanes share one capacity bound.
-  MpmcQueue<int> tiny(2);
-  ASSERT_TRUE(tiny.TryPushLow(1));
-  ASSERT_TRUE(tiny.Push(2));
-  EXPECT_FALSE(tiny.TryPush(3));
-  EXPECT_FALSE(tiny.TryPushLow(3));
-
-  // Close drains the low lane too before Pop reports end-of-queue.
-  queue.TryPushLow(7);
-  queue.Close();
-  EXPECT_EQ(queue.Pop(), 7);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-// The service-level wiring: with the option on, split batches still merge
-// bit-identically (helpers just ride the low lane) and concurrent small
-// requests keep being served; the counter surfaces through ServiceStats.
-TEST(ServiceTest, PreferFreshRequestsKeepsSplitResultsBitIdentical) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  Query big = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(big, 1);
-  auto serial = estimator.EstimateSubplans(big, masks);
-
-  EstimatorServiceOptions options;
-  options.num_threads = 2;
-  options.cache_enabled = false;
-  options.split_batch_min_masks = 2;  // force splitting
-  options.prefer_fresh_requests = true;
-  EstimatorService service(estimator, options);
-
-  std::atomic<uint64_t> singles_ok{0};
-  std::thread fresh_client([&] {
-    for (int i = 0; i < 40; ++i) {
-      Query q = ChainQuery(20 + i % 30, 150 + (i * 7) % 300);
-      if (service.Estimate(q) == estimator.Estimate(q)) {
-        singles_ok.fetch_add(1);
-      }
-    }
-  });
-  for (int round = 0; round < 10; ++round) {
-    auto split = service.EstimateSubplans(big, masks);
-    for (const auto& [mask, value] : serial) {
-      ASSERT_EQ(split.at(mask), value) << "mask " << mask;
-    }
-  }
-  fresh_client.join();
-  service.Drain();
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(singles_ok.load(), 40u);
-  EXPECT_GE(stats.batches_split, 10u);
-  // fresh_first_pops is timing-dependent (a fresh request must actually be
-  // queued while helpers wait), so only its plumbing is asserted here; the
-  // deterministic reorder lives in MpmcQueueTest above.
-  EXPECT_GE(stats.fresh_first_pops, 0u);
-}
-
-// With the option off, helper chunks use the normal lane and the counter
-// stays zero — the pre-existing FIFO behavior is unchanged.
-TEST(ServiceTest, FreshFirstCounterStaysZeroWhenDisabled) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  EstimatorServiceOptions options;
-  options.num_threads = 4;
-  options.split_batch_min_masks = 2;
-  EstimatorService service(estimator, options);
-  Query q = ChainQuery(25, 300);
-  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
-  service.EstimateSubplans(q, masks);
-  ServiceStats stats = service.Stats();
-  EXPECT_GE(stats.batches_split, 1u);
-  EXPECT_EQ(stats.fresh_first_pops, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Cost-aware eviction.
-
-TEST(ShardedCacheTest, CostAwareEvictionSparesExpensiveEntries) {
-  ShardedEstimateCache cache(4, 1, nullptr, /*cost_aware=*/true);
-  QueryFingerprint expensive{1, 10};
-  cache.Insert(expensive, 1.0, 0, 0, /*cost_micros=*/5000.0);
-  std::vector<QueryFingerprint> cheap;
-  for (uint64_t i = 2; i <= 4; ++i) {
-    cheap.push_back({i, i * 10});
-    cache.Insert(cheap.back(), static_cast<double>(i), 0, 0, 1.0);
-  }
-  // Shard is full; the strict-LRU victim would be `expensive`, but the
-  // cost-aware policy spares it and evicts a cheap entry instead.
-  cache.Insert({9, 90}, 9.0, 0, 0, 1.0);
-  EXPECT_TRUE(cache.Lookup(expensive).has_value());
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.cost_weighted_evictions, 1u);
-}
-
-TEST(ShardedCacheTest, PlainLruStillEvictsTail) {
-  ShardedEstimateCache cache(4, 1, nullptr, /*cost_aware=*/false);
-  QueryFingerprint expensive{1, 10};
-  cache.Insert(expensive, 1.0, 0, 0, 5000.0);
-  for (uint64_t i = 2; i <= 4; ++i) {
-    cache.Insert({i, i * 10}, static_cast<double>(i), 0, 0, 1.0);
-  }
-  cache.Insert({9, 90}, 9.0, 0, 0, 1.0);
-  // Without cost weighting the expensive LRU entry dies.
-  EXPECT_FALSE(cache.Lookup(expensive).has_value());
-  EXPECT_EQ(cache.Stats().cost_weighted_evictions, 0u);
-}
-
-TEST(ServiceTest, CostAwareEvictionToggleIsWired) {
-  Database db = MakeDb();
-  FactorJoinEstimator estimator = MakeEstimator(db);
-  EstimatorServiceOptions options;
-  options.num_threads = 2;
-  options.cache_capacity = 8;
-  options.cache_shards = 1;
-  options.cost_aware_eviction = true;
-  EstimatorService service(estimator, options);
-  // Overflow the tiny cache with distinct sub-plans; the counter is
-  // reachable through ServiceStats and eviction keeps working.
-  std::vector<Query> queries = MakeWorkload(24);
-  for (const Query& q : queries) service.Estimate(q);
-  ServiceStats stats = service.Stats();
-  EXPECT_GT(stats.cache.evictions, 0u);
-  // Values stay correct under the alternative policy.
-  Query q = ChainQuery(30, 250);
-  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
+  EXPECT_EQ(service.Stats().subplan_requests, 60u);
 }
 
 }  // namespace
