@@ -4,6 +4,9 @@
 // algorithm vs estimating every sub-plan independently (the >10x saving of
 // Section 5.2), vs the shared-leaf session path (PrepareSubplans, then the
 // session's EstimateSubplans), and vs Postgres/PessEst per-estimate costs.
+// A second table times sub-plan keying (the serving cache's key per
+// sub-plan) on STATS-CEB and IMDB-JOB masks: SubplanKeyer as the service
+// uses it, against materialising each sub-query and fingerprinting it.
 //
 // Self-timed passes over the whole workload (no external benchmark library):
 // each case is warmed once, then repeated until kMinSeconds of wall time or
@@ -50,6 +53,40 @@ CaseResult TimeCase(size_t subplans_per_pass,
   result.ms_per_pass = seconds / passes * 1e3;
   result.subplans_per_sec =
       static_cast<double>(subplans_per_pass) * passes / seconds;
+  return result;
+}
+
+struct KeyingResult {
+  size_t subplans = 0;
+  double keyer_ns = 0.0;         // per sub-plan, SubplanKeyer
+  double materialised_ns = 0.0;  // per sub-plan, InducedSubquery + Fingerprint
+};
+
+/// Keys every connected sub-plan of `queries` the way the service does (one
+/// SubplanKeyer per query, one Key per mask), and by materialising each
+/// sub-query and fingerprinting it.
+KeyingResult TimeKeying(const std::vector<Query>& queries) {
+  std::vector<std::vector<uint64_t>> masks;
+  KeyingResult result;
+  for (const Query& q : queries) {
+    masks.push_back(EnumerateConnectedSubsets(q, 1));
+    result.subplans += masks.back().size();
+  }
+  CaseResult keyer = TimeCase(result.subplans, [&] {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SubplanKeyer k(queries[i]);
+      for (uint64_t mask : masks[i]) DoNotOptimizeAway(k.Key(mask).lo);
+    }
+  });
+  CaseResult materialised = TimeCase(result.subplans, [&] {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      for (uint64_t mask : masks[i]) {
+        DoNotOptimizeAway(queries[i].InducedSubquery(mask).Fingerprint().lo);
+      }
+    }
+  });
+  result.keyer_ns = 1e9 / keyer.subplans_per_sec;
+  result.materialised_ns = 1e9 / materialised.subplans_per_sec;
   return result;
 }
 
@@ -142,6 +179,17 @@ int main(int argc, char** argv) {
   std::printf("\nprogressive vs independent speedup: %.1fx\n",
               independent.ms_per_pass / progressive.ms_per_pass);
 
+  KeyingResult stats_keys = TimeKeying(StatsWorkload()->queries);
+  KeyingResult imdb_keys = TimeKeying(queries);
+  std::printf("\n");
+  TablePrinter kp({"Sub-plan key", "Sub-plans", "ns/sub-plan (keyer)",
+                   "ns/sub-plan (materialised)"});
+  kp.AddRow({"STATS-CEB", std::to_string(stats_keys.subplans),
+             Fmt(stats_keys.keyer_ns, 1), Fmt(stats_keys.materialised_ns, 1)});
+  kp.AddRow({"IMDB-JOB", std::to_string(imdb_keys.subplans),
+             Fmt(imdb_keys.keyer_ns, 1), Fmt(imdb_keys.materialised_ns, 1)});
+  kp.Print();
+
   report.Add("progressive_ms_per_pass", progressive.ms_per_pass, "ms");
   report.Add("progressive_subplans_per_sec", progressive.subplans_per_sec,
              "1/s");
@@ -149,6 +197,12 @@ int main(int argc, char** argv) {
   report.Add("independent_ms_per_pass", independent.ms_per_pass, "ms");
   report.Add("postgres_ms_per_pass", pg.ms_per_pass, "ms");
   report.Add("pessest_ms_per_pass", pe.ms_per_pass, "ms");
+  report.Add("key_ns_per_subplan_stats", stats_keys.keyer_ns, "ns");
+  report.Add("key_ns_per_subplan_imdb", imdb_keys.keyer_ns, "ns");
+  report.Add("key_materialised_ns_per_subplan_stats",
+             stats_keys.materialised_ns, "ns");
+  report.Add("key_materialised_ns_per_subplan_imdb", imdb_keys.materialised_ns,
+             "ns");
   report.Write();
   return 0;
 }

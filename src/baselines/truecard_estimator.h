@@ -28,7 +28,9 @@ class TrueCardEstimator : public CardinalityEstimator {
   std::string Name() const override { return "truecard"; }
 
   double Estimate(const Query& query) const override {
-    std::string key = query.ToString();
+    // Keyed by content, not by the rendered SQL: ToString rounds doubles
+    // and does not escape quotes, so distinct filters could share a key.
+    QueryFingerprint key = query.Fingerprint();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = cache_.find(key);
@@ -43,7 +45,7 @@ class TrueCardEstimator : public CardinalityEstimator {
                        ? static_cast<double>(*card)
                        : static_cast<double>(TrueCardOptions{}.max_output_tuples);
     std::lock_guard<std::mutex> lock(mutex_);
-    cache_.emplace(std::move(key), Entry{value, query.BaseTables()});
+    cache_.emplace(key, Entry{value, query.BaseTables()});
     return value;
   }
 
@@ -100,7 +102,8 @@ class TrueCardEstimator : public CardinalityEstimator {
 
   const Database* db_;  // not owned
   mutable std::mutex mutex_;
-  mutable std::unordered_map<std::string, Entry> cache_;
+  mutable std::unordered_map<QueryFingerprint, Entry, QueryFingerprintHash>
+      cache_;
 };
 
 }  // namespace fj

@@ -1,6 +1,7 @@
 #include "query/predicate.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace fj {
@@ -37,6 +38,15 @@ Literal Literal::Str(std::string v) {
   l.type = ColumnType::kString;
   l.s = std::move(v);
   return l;
+}
+
+void Literal::Digest(Digest128& digest) const {
+  digest.Tag(static_cast<uint8_t>(type));
+  switch (type) {
+    case ColumnType::kInt64: digest.U64(static_cast<uint64_t>(i)); break;
+    case ColumnType::kDouble: digest.U64(std::bit_cast<uint64_t>(d)); break;
+    case ColumnType::kString: digest.Str(s); break;
+  }
 }
 
 std::string Literal::ToString() const {
@@ -153,6 +163,41 @@ bool Predicate::HasStringPattern() const {
   if (kind_ == Kind::kLike || kind_ == Kind::kNotLike) return true;
   return std::any_of(children_.begin(), children_.end(),
                      [](const PredicatePtr& c) { return c->HasStringPattern(); });
+}
+
+void Predicate::Digest(Digest128& d) const {
+  d.Tag(static_cast<uint8_t>(kind_));
+  switch (kind_) {
+    case Kind::kTrue:
+      break;
+    case Kind::kCompare:
+      d.Str(column_).Tag(static_cast<uint8_t>(op_));
+      value_.Digest(d);
+      break;
+    case Kind::kBetween:
+      d.Str(column_);
+      value_.Digest(d);
+      hi_.Digest(d);
+      break;
+    case Kind::kIn:
+      d.Str(column_).U64(set_.size());
+      for (const Literal& v : set_) v.Digest(d);
+      break;
+    case Kind::kLike:
+    case Kind::kNotLike:
+      d.Str(column_).Str(pattern_);
+      break;
+    case Kind::kIsNull:
+    case Kind::kIsNotNull:
+      d.Str(column_);
+      break;
+    case Kind::kAnd:
+    case Kind::kOr:
+    case Kind::kNot:
+      d.U64(children_.size());
+      for (const PredicatePtr& c : children_) c->Digest(d);
+      break;
+  }
 }
 
 std::string Predicate::ToString() const {

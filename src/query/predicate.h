@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "storage/column.h"
+#include "util/hash.h"
 
 namespace fj {
 
@@ -32,6 +33,10 @@ struct Literal {
   static Literal Int(int64_t v);
   static Literal Double(double v);
   static Literal Str(std::string v);
+
+  /// Feeds the type tag and the exact payload (the int, the double's bits,
+  /// or the length-prefixed string) into `digest`.
+  void Digest(Digest128& digest) const;
 
   std::string ToString() const;
 };
@@ -85,6 +90,12 @@ class Predicate {
 
   /// True when the tree contains any LIKE / NOT LIKE leaf.
   bool HasStringPattern() const;
+
+  /// Structural digest of the tree: kind, column, operator, child and
+  /// literal counts, and each literal's exact payload. Unlike ToString it
+  /// never rounds a double, and quotes inside a string literal cannot mimic
+  /// a list separator.
+  void Digest(Digest128& d) const;
 
   std::string ToString() const;
 

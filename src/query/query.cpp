@@ -51,8 +51,9 @@ Query& Query::SetFilter(const std::string& alias, PredicatePtr pred) {
 }
 
 PredicatePtr Query::FilterFor(const std::string& alias) const {
+  static const PredicatePtr kNoFilter = Predicate::True();
   auto it = filters_.find(alias);
-  if (it == filters_.end()) return Predicate::True();
+  if (it == filters_.end()) return kNoFilter;
   return it->second;
 }
 
@@ -234,38 +235,46 @@ std::string QueryFingerprint::ToString() const {
 }
 
 QueryFingerprint Query::Fingerprint() const {
-  // Canonical per-component strings, sorted so that construction order (and
-  // the order joins/filters happen to be stored in) cannot change the digest.
-  std::vector<std::string> parts;
-  parts.reserve(tables_.size() + joins_.size());
-  for (const TableRef& t : tables_) {
-    std::string part = "T\x1f" + t.alias + "\x1f" + t.table;
-    auto it = filters_.find(t.alias);
-    if (it != filters_.end() && it->second->kind() != Predicate::Kind::kTrue) {
-      part += "\x1f" + it->second->ToString();
-    }
-    parts.push_back(std::move(part));
-  }
-  for (const JoinCondition& j : joins_) {
-    // Orientation-insensitive: a.x = b.y and b.y = a.x digest the same.
-    std::string l = j.left.ToString(), r = j.right.ToString();
-    if (r < l) std::swap(l, r);
-    parts.push_back("J\x1f" + l + "\x1f" + r);
-  }
-  std::sort(parts.begin(), parts.end());
+  return SubplanKeyer(*this).Key(~uint64_t{0});
+}
 
-  QueryFingerprint fp;
-  fp.lo = Fnv1a64("fp", 0xcbf29ce484222325ULL);
-  fp.hi = Fnv1a64("fp", 0x9ae16a3b2f90404fULL);
-  for (const std::string& part : parts) {
-    // Two independent streams give 128 bits; each part is length-delimited
-    // by the \x1f separators plus this terminator byte.
-    fp.lo = Fnv1a64(part, fp.lo) * 0x100000001b3ULL ^ 0x1e;
-    fp.hi = HashCombine(fp.hi, Fnv1a64(part, 0x9ae16a3b2f90404fULL));
+SubplanKeyer::SubplanKeyer(const Query& query) {
+  const auto& tables = query.tables();
+  components_.reserve(tables.size() + query.joins().size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    // FilterFor gives Predicate::True() for an absent filter, so an absent
+    // and an explicit TRUE filter key alike.
+    Digest128 d;
+    d.Tag('T').Str(tables[i].alias).Str(tables[i].table);
+    query.FilterFor(tables[i].alias)->Digest(d);
+    components_.push_back({uint64_t{1} << i, d.lo(), d.hi()});
   }
-  fp.lo = Mix64(fp.lo ^ parts.size());
-  fp.hi = Mix64(fp.hi ^ Mix64(parts.size()));
-  return fp;
+  for (const JoinCondition& j : query.joins()) {
+    // Orientation-insensitive: a.x = b.y and b.y = a.x digest the same.
+    const AliasColumn* l = &j.left;
+    const AliasColumn* r = &j.right;
+    if (std::tie(r->alias, r->column) < std::tie(l->alias, l->column)) {
+      std::swap(l, r);
+    }
+    Digest128 d;
+    d.Tag('J').Str(l->alias).Str(l->column).Str(r->alias).Str(r->column);
+    uint64_t aliases = (uint64_t{1} << query.AliasIndex(l->alias)) |
+                       (uint64_t{1} << query.AliasIndex(r->alias));
+    components_.push_back({aliases, d.lo(), d.hi()});
+  }
+}
+
+QueryFingerprint SubplanKeyer::Key(uint64_t alias_mask) const {
+  // A sum, not an XOR: it is order-insensitive like XOR, but a duplicated
+  // join adds its digest twice instead of cancelling out.
+  uint64_t lo = 0, hi = 0, count = 0;
+  for (const Component& c : components_) {
+    if ((c.aliases & ~alias_mask) != 0) continue;
+    lo += c.lo;
+    hi += c.hi;
+    ++count;
+  }
+  return {Mix64(lo + count * 0x9e3779b97f4a7c15ULL), Mix64(hi ^ Mix64(count))};
 }
 
 std::string Query::ToString() const {

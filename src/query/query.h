@@ -61,6 +61,7 @@ struct QueryKeyGroup {
 /// filters), insensitive to the order in which they were added. Equal
 /// sub-plans reached from different parent queries digest identically, which
 /// is what makes it usable as a cross-query cache key in the serving layer.
+/// Produced by SubplanKeyer, for whole queries and sub-plans alike.
 struct QueryFingerprint {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -147,9 +148,10 @@ class Query {
   /// invalidate exactly the cached sub-plans that touch it.
   std::vector<std::string> BaseTables(uint64_t alias_mask = ~uint64_t{0}) const;
 
-  /// Canonical order-insensitive fingerprint of tables + joins + filters.
-  /// Filters that are Predicate::True() digest the same as absent filters,
-  /// and both orientations of a join condition digest identically.
+  /// Canonical order-insensitive fingerprint of tables + joins + filters:
+  /// SubplanKeyer(*this).Key(all aliases). Filters that are
+  /// Predicate::True() digest the same as absent filters, and both
+  /// orientations of a join condition digest identically.
   QueryFingerprint Fingerprint() const;
 
   std::string ToString() const;
@@ -159,6 +161,31 @@ class Query {
   std::vector<JoinCondition> joins_;
   std::unordered_map<std::string, PredicatePtr> filters_;
   std::unordered_map<std::string, size_t> alias_index_;
+};
+
+/// Keys the sub-plans of one parent query without building them. Built once
+/// per parent, it digests each component once: every alias as (alias, table,
+/// filter) and every join as its orientation-normalised column pair. Key(m)
+/// then sums the digests of the components inside `m`, which is
+/// O(aliases + joins) integer work with no allocation. Components name
+/// aliases, never bit positions, so one sub-plan reached from two parents
+/// keys identically, and Key(m) == InducedSubquery(m).Fingerprint() by
+/// construction.
+class SubplanKeyer {
+ public:
+  explicit SubplanKeyer(const Query& query);
+
+  /// Fingerprint of the sub-plan over the aliases in `alias_mask` (bits over
+  /// the parent's tables() order; bits past NumTables() select nothing).
+  QueryFingerprint Key(uint64_t alias_mask) const;
+
+ private:
+  struct Component {
+    uint64_t aliases;  // inside a sub-plan iff all of these are in its mask
+    uint64_t lo;
+    uint64_t hi;
+  };
+  std::vector<Component> components_;
 };
 
 }  // namespace fj

@@ -1,6 +1,7 @@
 #include "service/estimator_service.h"
 
 #include <bit>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -231,12 +232,16 @@ void EstimatorService::FinishRequest(Request& req, obs::RequestTrace& trace,
   } else {
     complete();
   }
+  // Fingerprint computed only for offenders and sampled requests, never on
+  // the fast path, and at most once when a request is both.
+  std::optional<QueryFingerprint> fingerprint;
+  auto fp = [&] {
+    if (!fingerprint) fingerprint = req.query.Fingerprint();
+    return *fingerprint;
+  };
   bool slow = slow_log_.enabled() &&
               trace.total_micros >= slow_log_.threshold_micros();
-  if (slow) {
-    // Fingerprint computed only for offenders; never on the fast path.
-    slow_log_.MaybeLog(kind, req.query.Fingerprint(), masks, trace);
-  }
+  if (slow) slow_log_.MaybeLog(kind, fp(), masks, trace);
   uint64_t finished = finished_.fetch_add(1, std::memory_order_relaxed);
   if (options_.flight_recorder != nullptr) {
     // Every Nth request plus every slow-log offender: the sampled stream
@@ -245,7 +250,7 @@ void EstimatorService::FinishRequest(Request& req, obs::RequestTrace& trace,
     bool sampled = options_.flight_sample_every != 0 &&
                    finished % options_.flight_sample_every == 0;
     if (sampled || slow) {
-      options_.flight_recorder->Append(kind, req.query.Fingerprint(), masks,
+      options_.flight_recorder->Append(kind, fp(), masks,
                                        options_.model_name.c_str(), trace);
     }
   }
@@ -284,7 +289,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     const Query& query, const std::vector<uint64_t>& masks,
     obs::RequestTrace* trace) {
   // Masks arrive from untrusted clients. A bit at or past NumTables() names
-  // no alias: InducedSubquery would silently drop it (so the mask could hit
+  // no alias: keying would silently ignore it (so the mask could hit
   // another mask's cache entry), and the insert loop below would index
   // alias_bits out of bounds. Reject the whole request, cache on or off.
   uint64_t all = query.NumTables() >= 64
@@ -315,13 +320,15 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   // Epoch snapshot before any estimation (see ServeSingle): entries
   // inserted below are invalidated by any update racing this batch.
   uint64_t epoch = epochs_.Epoch();
-  // The cache-probe span covers the whole resolve loop: per-mask
-  // fingerprinting plus the sharded lookups.
+  // The cache-probe span covers the whole resolve loop: building the keyer
+  // (each query component digested once), per-mask keys plus the sharded
+  // lookups.
   obs::SpanTimer probe_span;
+  SubplanKeyer keyer(query);
   std::vector<uint64_t> miss_masks;
   std::vector<QueryFingerprint> miss_fps;
   for (uint64_t mask : masks) {
-    QueryFingerprint fp = BatchKey(query.InducedSubquery(mask).Fingerprint());
+    QueryFingerprint fp = BatchKey(keyer.Key(mask));
     if (auto cached = cache_.Lookup(fp)) {
       out.emplace(mask, *cached);
     } else {

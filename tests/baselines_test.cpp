@@ -206,6 +206,30 @@ TEST(TrueCardEstimatorTest, MatchesExecutorAndCaches) {
   EXPECT_DOUBLE_EQ(est.Estimate(f->two_way), static_cast<double>(*truth));
 }
 
+// Bounds that print alike (std::to_string keeps six decimals) but select
+// different rows must not share a memo entry, or the oracle answers the
+// second query with the first one's truth.
+TEST(TrueCardEstimatorTest, MemoDistinguishesCloseDoubleBounds) {
+  Database db;
+  Column* x = db.AddTable("m")->AddColumn("x", ColumnType::kDouble);
+  for (double v : {0.1, 0.1000002, 0.1000003, 0.1000005, 0.2}) {
+    x->AppendDouble(v);
+  }
+  auto above = [](double bound) {
+    Query q;
+    q.AddTable("m");
+    q.SetFilter("m", Predicate::Cmp("x", CmpOp::kGt, Literal::Double(bound)));
+    return q;
+  };
+  Query low = above(0.1000001);
+  Query high = above(0.1000004);
+  ASSERT_EQ(*TrueCardinality(db, low), 4u);
+  ASSERT_EQ(*TrueCardinality(db, high), 2u);
+  TrueCardEstimator est(db);
+  EXPECT_DOUBLE_EQ(est.Estimate(low), 4.0);
+  EXPECT_DOUBLE_EQ(est.Estimate(high), 2.0);
+}
+
 TEST(MlpTest, LearnsLinearFunction) {
   Mlp mlp({2, 16, 1}, 3);
   Rng rng(4);
