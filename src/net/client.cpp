@@ -1,9 +1,17 @@
 #include "net/client.h"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace fj::net {
+namespace {
+
+// The client whose receiver loop runs on this thread, if any.
+thread_local const EstimatorClient* receiving_for = nullptr;
+
+}  // namespace
 
 EstimatorClient::EstimatorClient(EstimatorClientOptions options)
     : options_(std::move(options)) {}
@@ -99,7 +107,19 @@ void EstimatorClient::DisconnectLocked(const char* reason) {
   FailAllPending(reason);
 }
 
+void EstimatorClient::ThrowIfReceiverThread(const char* what) const {
+  if (receiving_for == this) {
+    throw std::logic_error(
+        std::string("EstimatorClient::") + what +
+        " called on the client's receiver thread (e.g. inside a completion "
+        "callback): only that thread can complete the call, so it would "
+        "wait forever. Use the Async variants there, or move the blocking "
+        "call to another thread.");
+  }
+}
+
 void EstimatorClient::ReceiverLoop(int fd) {
+  receiving_for = this;
   const char* reason = "connection lost";
   try {
     while (auto frame = ReadFrame(fd, options_.max_frame_bytes)) {
@@ -108,18 +128,14 @@ void EstimatorClient::ReceiverLoop(int fd) {
         reason = "connection closed by server";
         break;
       }
-      PendingPtr pending;
+      std::unordered_map<uint64_t, Pending>::node_type pending;
       {
         std::lock_guard<std::mutex> lock(pending_mu_);
-        auto it = pending_.find(frame->request_id);
-        if (it != pending_.end()) {
-          pending = std::move(it->second);
-          pending_.erase(it);
-        }
+        pending = pending_.extract(frame->request_id);
       }
       // Responses for ids we no longer track (failed by an earlier
       // disconnect) are dropped.
-      if (pending != nullptr) Complete(*pending, *frame);
+      if (!pending.empty()) Complete(pending.mapped(), *frame);
     }
   } catch (const ProtocolError&) {
     reason = "malformed frame from server";
@@ -129,47 +145,18 @@ void EstimatorClient::ReceiverLoop(int fd) {
 }
 
 void EstimatorClient::FailAllPending(const char* reason) {
-  std::unordered_map<uint64_t, PendingPtr> failed;
+  std::unordered_map<uint64_t, Pending> failed;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     failed.swap(pending_);
   }
   for (auto& [id, pending] : failed) {
-    auto error = std::make_exception_ptr(NetError(reason));
-    FailPending(*pending, error);
-  }
-}
-
-void EstimatorClient::FailPending(Pending& pending, std::exception_ptr error) {
-  switch (pending.expect) {
-    case MsgType::kEstimateResp:
-      if (pending.traced) {
-        pending.traced_single.set_exception(std::move(error));
-      } else if (pending.single_done) {
-        pending.single_done(0.0, std::move(error));
-      } else {
-        pending.single.set_exception(std::move(error));
-      }
-      break;
-    case MsgType::kSubplansResp:
-      if (pending.traced) {
-        pending.traced_batch.set_exception(std::move(error));
-      } else {
-        pending.batch.set_exception(std::move(error));
-      }
-      break;
-    case MsgType::kNotifyUpdateResp:
-      pending.epoch.set_exception(std::move(error));
-      break;
-    case MsgType::kStatsResp:
-      pending.stats.set_exception(std::move(error));
-      break;
-    default:
-      break;
+    pending.done(nullptr, std::make_exception_ptr(NetError(reason)));
   }
 }
 
 void EstimatorClient::Complete(Pending& pending, const Frame& frame) {
+  std::exception_ptr error;
   try {
     if (frame.type == MsgType::kError) {
       throw RemoteError(DecodeError(frame.body));
@@ -177,43 +164,16 @@ void EstimatorClient::Complete(Pending& pending, const Frame& frame) {
     if (frame.type != pending.expect) {
       throw ProtocolError("response type does not match request");
     }
-    switch (pending.expect) {
-      case MsgType::kEstimateResp:
-        if (pending.traced) {
-          EstimateResp resp = DecodeEstimateRespFull(frame.body);
-          pending.traced_single.set_value(
-              {resp.estimate, resp.has_trace, resp.trace});
-        } else if (pending.single_done) {
-          pending.single_done(DecodeEstimateResp(frame.body), nullptr);
-        } else {
-          pending.single.set_value(DecodeEstimateResp(frame.body));
-        }
-        return;
-      case MsgType::kSubplansResp:
-        if (pending.traced) {
-          SubplansResp resp = DecodeSubplansRespFull(frame.body);
-          pending.traced_batch.set_value(
-              {std::move(resp.estimates), resp.has_trace, resp.trace});
-        } else {
-          pending.batch.set_value(DecodeSubplansResp(frame.body));
-        }
-        return;
-      case MsgType::kNotifyUpdateResp:
-        pending.epoch.set_value(DecodeNotifyUpdateResp(frame.body));
-        return;
-      case MsgType::kStatsResp:
-        pending.stats.set_value(DecodeServiceStats(frame.body));
-        return;
-      default:
-        throw ProtocolError("unexpected pending type");
-    }
   } catch (...) {
-    FailPending(pending, std::current_exception());
+    error = std::current_exception();
   }
+  const Frame* response = error == nullptr ? &frame : nullptr;
+  pending.done(response, std::move(error));
 }
 
-void EstimatorClient::Send(MsgType type, std::vector<uint8_t> body,
-                           uint64_t id, PendingPtr pending) {
+void EstimatorClient::Send(MsgType type, const std::vector<uint8_t>& body,
+                           Pending pending) {
+  uint64_t id = next_id_.fetch_add(1);
   bool sent = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -241,19 +201,52 @@ void EstimatorClient::Send(MsgType type, std::vector<uint8_t> body,
   }
 }
 
+template <class T>
+void EstimatorClient::Call(
+    MsgType type, const std::vector<uint8_t>& body, MsgType expect,
+    T (*decode)(const std::vector<uint8_t>&),
+    std::function<void(T, std::exception_ptr)> done) {
+  Send(type, body,
+       {expect, [decode, done = std::move(done)](const Frame* frame,
+                                                 std::exception_ptr error) {
+          T value{};
+          if (error == nullptr) {
+            try {
+              value = decode(frame->body);
+            } catch (...) {
+              error = std::current_exception();
+            }
+          }
+          done(std::move(value), std::move(error));
+        }});
+}
+
+template <class T>
+std::future<T> EstimatorClient::Call(MsgType type,
+                                     const std::vector<uint8_t>& body,
+                                     MsgType expect,
+                                     T (*decode)(const std::vector<uint8_t>&)) {
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> future = promise->get_future();
+  Call<T>(type, body, expect, decode,
+          [promise](T value, std::exception_ptr error) {
+            if (error != nullptr) {
+              promise->set_exception(std::move(error));
+            } else {
+              promise->set_value(std::move(value));
+            }
+          });
+  return future;
+}
+
 std::future<double> EstimatorClient::EstimateAsync(const Query& query) {
   return EstimateAsync(options_.model, query);
 }
 
 std::future<double> EstimatorClient::EstimateAsync(const std::string& model,
                                                    const Query& query) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kEstimateResp;
-  std::future<double> future = pending->single.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kEstimateReq, EncodeEstimateReq(model, query), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kEstimateReq, EncodeEstimateReq(model, query),
+              MsgType::kEstimateResp, DecodeEstimateResp);
 }
 
 void EstimatorClient::EstimateAsync(const std::string& model,
@@ -265,28 +258,31 @@ void EstimatorClient::EstimateAsync(const std::string& model,
   // and the catch turns the throw into a callback delivery so drivers have
   // a single completion path.
   auto once = std::make_shared<std::atomic<bool>>(false);
-  auto wrapped = [once, done = std::move(done)](double estimate,
+  auto deliver = [once, done = std::move(done)](double estimate,
                                                 std::exception_ptr error) {
-    if (!once->exchange(true)) done(estimate, std::move(error));
+    if (once->exchange(true)) return;
+    // The callback has had its one delivery, so an exception it throws is
+    // dropped: thrown on the receiver thread it would end the process.
+    try {
+      done(estimate, std::move(error));
+    } catch (...) {
+    }
   };
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kEstimateResp;
-  pending->single_done = wrapped;
-  uint64_t id = next_id_.fetch_add(1);
   try {
-    Send(MsgType::kEstimateReq, EncodeEstimateReq(model, query), id,
-         std::move(pending));
+    Call<double>(MsgType::kEstimateReq, EncodeEstimateReq(model, query),
+                 MsgType::kEstimateResp, DecodeEstimateResp, deliver);
   } catch (...) {
-    wrapped(0.0, std::current_exception());
+    deliver(0.0, std::current_exception());
   }
 }
 
 double EstimatorClient::Estimate(const Query& query) {
-  return EstimateAsync(options_.model, query).get();
+  return Estimate(options_.model, query);
 }
 
 double EstimatorClient::Estimate(const std::string& model,
                                  const Query& query) {
+  ThrowIfReceiverThread("Estimate");
   return EstimateAsync(model, query).get();
 }
 
@@ -300,47 +296,38 @@ std::future<std::unordered_map<uint64_t, double>>
 EstimatorClient::EstimateSubplansAsync(const std::string& model,
                                        const Query& query,
                                        const std::vector<uint64_t>& masks) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kSubplansResp;
-  auto future = pending->batch.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kSubplansReq, EncodeSubplansReq(model, query, masks), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kSubplansReq, EncodeSubplansReq(model, query, masks),
+              MsgType::kSubplansResp, DecodeSubplansResp);
 }
 
 std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
     const Query& query, const std::vector<uint64_t>& masks) {
-  return EstimateSubplansAsync(options_.model, query, masks).get();
+  return EstimateSubplans(options_.model, query, masks);
 }
 
 std::unordered_map<uint64_t, double> EstimatorClient::EstimateSubplans(
     const std::string& model, const Query& query,
     const std::vector<uint64_t>& masks) {
+  ThrowIfReceiverThread("EstimateSubplans");
   return EstimateSubplansAsync(model, query, masks).get();
 }
 
 std::future<EstimatorClient::TracedEstimate>
 EstimatorClient::EstimateTracedAsync(const std::string& model,
                                      const Query& query) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kEstimateResp;
-  pending->traced = true;
-  auto future = pending->traced_single.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kEstimateReq,
-       EncodeEstimateReq(model, query, /*want_trace=*/true), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kEstimateReq,
+              EncodeEstimateReq(model, query, /*want_trace=*/true),
+              MsgType::kEstimateResp, DecodeEstimateRespFull);
 }
 
 EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
     const Query& query) {
-  return EstimateTracedAsync(options_.model, query).get();
+  return EstimateTraced(options_.model, query);
 }
 
 EstimatorClient::TracedEstimate EstimatorClient::EstimateTraced(
     const std::string& model, const Query& query) {
+  ThrowIfReceiverThread("EstimateTraced");
   return EstimateTracedAsync(model, query).get();
 }
 
@@ -348,25 +335,20 @@ std::future<EstimatorClient::TracedSubplans>
 EstimatorClient::EstimateSubplansTracedAsync(
     const std::string& model, const Query& query,
     const std::vector<uint64_t>& masks) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kSubplansResp;
-  pending->traced = true;
-  auto future = pending->traced_batch.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kSubplansReq,
-       EncodeSubplansReq(model, query, masks, /*want_trace=*/true), id,
-       std::move(pending));
-  return future;
+  return Call(MsgType::kSubplansReq,
+              EncodeSubplansReq(model, query, masks, /*want_trace=*/true),
+              MsgType::kSubplansResp, DecodeSubplansRespFull);
 }
 
 EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(
     const Query& query, const std::vector<uint64_t>& masks) {
-  return EstimateSubplansTracedAsync(options_.model, query, masks).get();
+  return EstimateSubplansTraced(options_.model, query, masks);
 }
 
 EstimatorClient::TracedSubplans EstimatorClient::EstimateSubplansTraced(
     const std::string& model, const Query& query,
     const std::vector<uint64_t>& masks) {
+  ThrowIfReceiverThread("EstimateSubplansTraced");
   return EstimateSubplansTracedAsync(model, query, masks).get();
 }
 
@@ -376,24 +358,19 @@ uint64_t EstimatorClient::NotifyUpdate(const std::string& table) {
 
 uint64_t EstimatorClient::NotifyUpdate(const std::string& model,
                                        const std::string& table) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kNotifyUpdateResp;
-  auto future = pending->epoch.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kNotifyUpdateReq, EncodeNotifyUpdateReq(model, table), id,
-       std::move(pending));
-  return future.get();
+  ThrowIfReceiverThread("NotifyUpdate");
+  return Call(MsgType::kNotifyUpdateReq, EncodeNotifyUpdateReq(model, table),
+              MsgType::kNotifyUpdateResp, DecodeNotifyUpdateResp)
+      .get();
 }
 
 ServiceStats EstimatorClient::Stats() { return Stats(options_.model); }
 
 ServiceStats EstimatorClient::Stats(const std::string& model) {
-  auto pending = std::make_unique<Pending>();
-  pending->expect = MsgType::kStatsResp;
-  auto future = pending->stats.get_future();
-  uint64_t id = next_id_.fetch_add(1);
-  Send(MsgType::kStatsReq, EncodeStatsReq(model), id, std::move(pending));
-  return future.get();
+  ThrowIfReceiverThread("Stats");
+  return Call(MsgType::kStatsReq, EncodeStatsReq(model), MsgType::kStatsResp,
+              DecodeServiceStats)
+      .get();
 }
 
 }  // namespace fj::net

@@ -4,13 +4,14 @@
 // NotifyUpdate, Stats) over one framed socket connection, plus the two
 // things a remote client needs that an in-process service does not:
 //
-//  * Pipelining. EstimateAsync / EstimateSubplansAsync assign a request id,
-//    register a pending promise, and send without waiting; any number of
-//    requests can be outstanding on the one connection, and a background
-//    receiver thread correlates responses (which the server sends in
-//    completion order) back to their futures. One pipelined client can keep
-//    a whole server worker pool busy — the blocking wrappers are just
-//    submit + get.
+//  * Pipelining. Every request is assigned an id and registered as one
+//    pending completion callback before it is sent; any number of requests
+//    can be outstanding on the one connection, and a background receiver
+//    thread correlates responses (which the server sends in completion
+//    order) back to their callbacks. The future-returning methods pass a
+//    callback that decodes the response and fulfils a promise, and the
+//    blocking wrappers are just submit + get. One pipelined client can keep
+//    a whole server worker pool busy.
 //
 //  * Reconnect-on-failure. A lost connection fails every outstanding future
 //    with NetError, and the next request (or an explicit Connect()) dials
@@ -20,13 +21,15 @@
 //
 // Thread-safe: any number of threads may issue requests concurrently; sends
 // are serialized on one mutex, receives happen on the receiver thread.
+// Completion callbacks run on that receiver thread, which is the only
+// thread that can fulfil a future, so the blocking methods throw
+// std::logic_error when called from it instead of waiting on themselves.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -99,7 +102,7 @@ class EstimatorClient {
   /// response or disconnect arrives, or on the calling thread when the send
   /// itself fails (the failure is delivered as the error argument; nothing
   /// is thrown). Keep it quick and non-blocking: it runs on the thread that
-  /// drains the socket.
+  /// drains the socket. An exception it throws is dropped.
   void EstimateAsync(const std::string& model, const Query& query,
                      EstimateCallback done);
 
@@ -125,16 +128,9 @@ class EstimatorClient {
   // histograms). `trace` is empty (has_trace false) when the serving model
   // runs with tracing disabled. This is what `fj_client --trace` prints.
 
-  struct TracedEstimate {
-    double estimate = 0.0;
-    bool has_trace = false;
-    obs::RequestTrace trace;
-  };
-  struct TracedSubplans {
-    std::unordered_map<uint64_t, double> estimates;
-    bool has_trace = false;
-    obs::RequestTrace trace;
-  };
+  // The decoded responses themselves: {estimate(s), has_trace, trace}.
+  using TracedEstimate = EstimateResp;
+  using TracedSubplans = SubplansResp;
 
   std::future<TracedEstimate> EstimateTracedAsync(const std::string& model,
                                                   const Query& query);
@@ -162,36 +158,39 @@ class EstimatorClient {
   ServiceStats Stats(const std::string& model);
 
  private:
-  /// One outstanding request: which response type it expects and the
-  /// promise to fulfill. Exactly one promise is active, per `expect` (and
-  /// `traced`, which selects the traced promise of the same response type).
+  /// One outstanding request: the response type it expects and its one
+  /// completion path. `done` gets the response frame, or nullptr plus the
+  /// failure (RemoteError, ProtocolError or NetError).
   struct Pending {
     MsgType expect;
-    bool traced = false;
-    /// When set (callback-style estimate), fulfills/ fails through this
-    /// instead of `single`. Wrapped in a once-guard by EstimateAsync.
-    EstimateCallback single_done;
-    std::promise<double> single;
-    std::promise<std::unordered_map<uint64_t, double>> batch;
-    std::promise<uint64_t> epoch;
-    std::promise<ServiceStats> stats;
-    std::promise<TracedEstimate> traced_single;
-    std::promise<TracedSubplans> traced_batch;
+    std::function<void(const Frame*, std::exception_ptr)> done;
   };
-  using PendingPtr = std::unique_ptr<Pending>;
 
-  /// Registers a pending op and sends the frame; on send failure the
-  /// pending op is failed and NetError is thrown.
-  void Send(MsgType type, std::vector<uint8_t> body, uint64_t id,
-            PendingPtr pending);
+  /// Registers `pending` under a fresh request id and sends the frame;
+  /// throws NetError (after unregistering it) when the send fails.
+  void Send(MsgType type, const std::vector<uint8_t>& body, Pending pending);
+  /// Sends one request and calls `done` once with its `expect` response
+  /// passed through `decode`, or with a default T and the failure.
+  template <class T>
+  void Call(MsgType type, const std::vector<uint8_t>& body, MsgType expect,
+            T (*decode)(const std::vector<uint8_t>&),
+            std::function<void(T, std::exception_ptr)> done);
+  /// The same call fulfilling the returned future: every future-returning
+  /// method is this call.
+  template <class T>
+  std::future<T> Call(MsgType type, const std::vector<uint8_t>& body,
+                      MsgType expect,
+                      T (*decode)(const std::vector<uint8_t>&));
+  /// Throws std::logic_error when called on this client's receiver thread;
+  /// `what` names the blocking method in the message.
+  void ThrowIfReceiverThread(const char* what) const;
   void ConnectLocked();
   void DisconnectLocked(const char* reason);
   void ReceiverLoop(int fd);
   void FailAllPending(const char* reason);
-  /// Fulfills (or fails, for kError) one pending op from a response frame.
+  /// Hands one response frame to its pending request: kError becomes
+  /// RemoteError, a response of another type ProtocolError.
   static void Complete(Pending& pending, const Frame& frame);
-  /// Fails whichever promise `pending` holds active.
-  static void FailPending(Pending& pending, std::exception_ptr error);
 
   const EstimatorClientOptions options_;
 
@@ -203,7 +202,7 @@ class EstimatorClient {
   std::atomic<bool> connected_{false};
 
   std::mutex pending_mu_;
-  std::unordered_map<uint64_t, PendingPtr> pending_;
+  std::unordered_map<uint64_t, Pending> pending_;
   std::atomic<uint64_t> next_id_{1};
 };
 

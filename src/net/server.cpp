@@ -1,5 +1,6 @@
 #include "net/server.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -102,8 +103,14 @@ ServerStats EstimatorServer::Stats() const {
     stats.stages[i] = stage_hist_[i].Snapshot();
   }
   {
+    // Connections whose reader exited stay listed until the next accept
+    // reaps them; they are closed, so they do not count.
     std::lock_guard<std::mutex> lock(connections_mu_);
-    stats.connections_active = connections_.size();
+    stats.connections_active = static_cast<uint64_t>(
+        std::count_if(connections_.begin(), connections_.end(),
+                      [](const ConnectionPtr& conn) {
+                        return !conn->done.load();
+                      }));
   }
   return stats;
 }
@@ -235,82 +242,72 @@ EstimatorService* EstimatorServer::Resolve(const ConnectionPtr& conn,
   return service;
 }
 
+template <class Decode, class Encode, class Submit>
+void EstimatorServer::ServeEstimate(const ConnectionPtr& conn,
+                                    const Frame& frame, Decode decode,
+                                    Encode encode, MsgType resp_type,
+                                    Submit submit) {
+  const uint64_t id = frame.request_id;
+  obs::SpanTimer decode_span;
+  auto req = decode(frame.body);
+  uint64_t decode_micros = decode_span.ElapsedMicros();
+  stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(decode_micros);
+  EstimatorService* service = Resolve(conn, id, req.model);
+  if (service == nullptr) return;
+  // A trace-requesting client gets the sink pre-filled with the decode
+  // span; the service's workers add their stages, and the completion
+  // callback below adds encode before sealing the response.
+  std::shared_ptr<obs::RequestTrace> sink;
+  if (req.want_trace) {
+    sink = std::make_shared<obs::RequestTrace>();
+    sink->Add(obs::Stage::kDecode, decode_micros);
+  }
+  submit(
+      *service, req,
+      [this, conn, id, sink, encode, resp_type](auto result,
+                                                std::exception_ptr error) {
+        if (error != nullptr) {
+          request_errors_.fetch_add(1);
+          SendError(conn, id, ExceptionMessage(std::move(error)));
+          return;
+        }
+        obs::SpanTimer encode_span;
+        std::vector<uint8_t> body = encode(result);
+        uint64_t encode_micros = encode_span.ElapsedMicros();
+        stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
+            encode_micros);
+        if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
+        AppendRespTrace(&body, sink.get());
+        conn->Send(EncodeFrame(resp_type, id, body));
+      },
+      sink);
+}
+
 void EstimatorServer::Dispatch(const ConnectionPtr& conn, const Frame& frame) {
   if (frame.request_id == 0) {
     throw ProtocolError("requests must carry a nonzero request id");
   }
   const uint64_t id = frame.request_id;
   switch (frame.type) {
-    case MsgType::kEstimateReq: {
-      obs::SpanTimer decode_span;
-      EstimateReq req = DecodeEstimateReq(frame.body);
-      uint64_t decode_micros = decode_span.ElapsedMicros();
-      stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(
-          decode_micros);
-      EstimatorService* service = Resolve(conn, id, req.model);
-      if (service == nullptr) return;
-      // A trace-requesting client gets the sink pre-filled with the decode
-      // span; the service's workers add their stages, and the completion
-      // callback below adds encode before sealing the response.
-      std::shared_ptr<obs::RequestTrace> sink;
-      if (req.want_trace) {
-        sink = std::make_shared<obs::RequestTrace>();
-        sink->Add(obs::Stage::kDecode, decode_micros);
-      }
-      service->EstimateAsync(
-          std::move(req.query),
-          [this, conn, id, sink](double estimate, std::exception_ptr error) {
-            if (error != nullptr) {
-              request_errors_.fetch_add(1);
-              SendError(conn, id, ExceptionMessage(std::move(error)));
-              return;
-            }
-            obs::SpanTimer encode_span;
-            std::vector<uint8_t> body = EncodeEstimateRespBody(estimate);
-            uint64_t encode_micros = encode_span.ElapsedMicros();
-            stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
-                encode_micros);
-            if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
-            AppendRespTrace(&body, sink.get());
-            conn->Send(EncodeFrame(MsgType::kEstimateResp, id, body));
-          },
-          sink);
+    case MsgType::kEstimateReq:
+      ServeEstimate(conn, frame, DecodeEstimateReq, EncodeEstimateRespBody,
+                    MsgType::kEstimateResp,
+                    [](EstimatorService& service, EstimateReq& req,
+                       auto done, auto sink) {
+                      service.EstimateAsync(std::move(req.query),
+                                            std::move(done), std::move(sink));
+                    });
       return;
-    }
-    case MsgType::kSubplansReq: {
-      obs::SpanTimer decode_span;
-      SubplansReq req = DecodeSubplansReq(frame.body);
-      uint64_t decode_micros = decode_span.ElapsedMicros();
-      stage_hist_[static_cast<size_t>(obs::Stage::kDecode)].Record(
-          decode_micros);
-      EstimatorService* service = Resolve(conn, id, req.model);
-      if (service == nullptr) return;
-      std::shared_ptr<obs::RequestTrace> sink;
-      if (req.want_trace) {
-        sink = std::make_shared<obs::RequestTrace>();
-        sink->Add(obs::Stage::kDecode, decode_micros);
-      }
-      service->EstimateSubplansAsync(
-          std::move(req.query), std::move(req.masks),
-          [this, conn, id, sink](std::unordered_map<uint64_t, double> estimates,
-                                 std::exception_ptr error) {
-            if (error != nullptr) {
-              request_errors_.fetch_add(1);
-              SendError(conn, id, ExceptionMessage(std::move(error)));
-              return;
-            }
-            obs::SpanTimer encode_span;
-            std::vector<uint8_t> body = EncodeSubplansRespBody(estimates);
-            uint64_t encode_micros = encode_span.ElapsedMicros();
-            stage_hist_[static_cast<size_t>(obs::Stage::kEncode)].Record(
-                encode_micros);
-            if (sink != nullptr) sink->Add(obs::Stage::kEncode, encode_micros);
-            AppendRespTrace(&body, sink.get());
-            conn->Send(EncodeFrame(MsgType::kSubplansResp, id, body));
-          },
-          sink);
+    case MsgType::kSubplansReq:
+      ServeEstimate(conn, frame, DecodeSubplansReq, EncodeSubplansRespBody,
+                    MsgType::kSubplansResp,
+                    [](EstimatorService& service, SubplansReq& req,
+                       auto done, auto sink) {
+                      service.EstimateSubplansAsync(
+                          std::move(req.query), std::move(req.masks),
+                          std::move(done), std::move(sink));
+                    });
       return;
-    }
     case MsgType::kNotifyUpdateReq: {
       // Remote NotifyUpdate covers the cache-invalidation half of the
       // update protocol; mutating the estimator itself stays a server-local

@@ -158,6 +158,14 @@ class EstimatorServer {
   /// Handles one decoded request frame; throws ProtocolError upward on
   /// malformed bodies.
   void Dispatch(const ConnectionPtr& conn, const Frame& frame);
+  /// Serves an estimate or sub-plan request: decode the body, resolve its
+  /// model, hand it to the service through `submit(service, req, done,
+  /// sink)`, and on completion `encode` the result into a `resp_type`
+  /// response (or a per-request kError).
+  template <class Decode, class Encode, class Submit>
+  void ServeEstimate(const ConnectionPtr& conn, const Frame& frame,
+                     Decode decode, Encode encode, MsgType resp_type,
+                     Submit submit);
   void SendError(const ConnectionPtr& conn, uint64_t request_id,
                  const std::string& message);
   /// Resolves a request's model id against the registry; on an unknown

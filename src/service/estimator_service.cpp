@@ -18,6 +18,19 @@ QueryFingerprint BatchKey(const QueryFingerprint& fp) {
           Mix64(fp.hi ^ 0x167f3ac2d4b59e81ULL)};
 }
 
+// A completion callback that fulfils `promise`: each future-returning
+// overload is its callback overload plus this.
+template <class T>
+auto Fulfil(std::shared_ptr<std::promise<T>> promise) {
+  return [promise = std::move(promise)](T value, std::exception_ptr error) {
+    if (error != nullptr) {
+      promise->set_exception(std::move(error));
+    } else {
+      promise->set_value(std::move(value));
+    }
+  };
+}
+
 }  // namespace
 
 EstimatorService::EstimatorService(const CardinalityEstimator& estimator,
@@ -72,16 +85,16 @@ void EstimatorService::ThrowIfWorkerThread(const char* what) const {
 }
 
 std::future<double> EstimatorService::EstimateAsync(Query query) {
-  auto req = std::make_unique<Request>();
-  req->query = std::move(query);
-  std::future<double> result = req->single.get_future();
-  Submit(std::move(req));
+  auto promise = std::make_shared<std::promise<double>>();
+  std::future<double> result = promise->get_future();
+  EstimateAsync(std::move(query), Fulfil(std::move(promise)));
   return result;
 }
 
 void EstimatorService::EstimateAsync(
     Query query, EstimateCallback done,
     std::shared_ptr<obs::RequestTrace> trace_sink) {
+  if (!done) throw std::invalid_argument("EstimateAsync: empty callback");
   auto req = std::make_unique<Request>();
   req->query = std::move(query);
   req->single_cb = std::move(done);
@@ -97,22 +110,23 @@ double EstimatorService::Estimate(const Query& query) {
 std::future<std::unordered_map<uint64_t, double>>
 EstimatorService::EstimateSubplansAsync(Query query,
                                         std::vector<uint64_t> masks) {
-  auto req = std::make_unique<Request>();
-  req->query = std::move(query);
-  req->masks = std::move(masks);
-  req->batched = true;
-  auto result = req->batch.get_future();
-  Submit(std::move(req));
+  auto promise =
+      std::make_shared<std::promise<std::unordered_map<uint64_t, double>>>();
+  auto result = promise->get_future();
+  EstimateSubplansAsync(std::move(query), std::move(masks),
+                        Fulfil(std::move(promise)));
   return result;
 }
 
 void EstimatorService::EstimateSubplansAsync(
     Query query, std::vector<uint64_t> masks, SubplansCallback done,
     std::shared_ptr<obs::RequestTrace> trace_sink) {
+  if (!done) {
+    throw std::invalid_argument("EstimateSubplansAsync: empty callback");
+  }
   auto req = std::make_unique<Request>();
   req->query = std::move(query);
   req->masks = std::move(masks);
-  req->batched = true;
   req->batch_cb = std::move(done);
   req->trace_sink = std::move(trace_sink);
   Submit(std::move(req));
@@ -127,8 +141,8 @@ std::unordered_map<uint64_t, double> EstimatorService::EstimateSubplans(
 void EstimatorService::WorkerLoop() {
   while (auto req = queue_.Pop()) {
     Serve(**req);
-    // The request counts as pending until after its promise is fulfilled,
-    // so Drain() returning means every accepted future is ready.
+    // The request counts as pending until after its callback ran, so
+    // Drain() returning means every accepted future is ready.
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(drain_mu_);
       drained_.notify_all();
@@ -157,49 +171,33 @@ void EstimatorService::Serve(Request& req) {
   trace->Add(obs::Stage::kQueueWait,
              static_cast<uint64_t>(req.submitted.Micros()));
 
-  // Counters and latency are recorded BEFORE the promise is fulfilled so a
-  // client that just resolved its future observes its own request in Stats().
-  // Completion (callback or promise) happens OUTSIDE the try blocks:
-  // estimation errors must flow through the error argument, and a throwing
-  // callback must not re-enter the error path and be invoked twice.
-  if (req.batched) {
-    std::unordered_map<uint64_t, double> result;
+  // Counters and latency are recorded BEFORE the callback runs so a client
+  // that just resolved its future observes its own request in Stats().
+  // The callback runs OUTSIDE the try block: estimation errors must flow
+  // through the error argument, and a throwing callback must not re-enter
+  // the error path and be invoked twice.
+  auto run = [&](const char* kind, size_t masks,
+                 std::atomic<uint64_t>& served, auto serve, auto& done) {
+    decltype(serve()) result{};
     std::exception_ptr error;
     try {
-      result = ServeBatch(req.query, req.masks, tracing ? trace : nullptr);
-      subplan_requests_.fetch_add(1, std::memory_order_relaxed);
+      result = serve();
+      served.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       error = std::current_exception();
     }
-    FinishRequest(req, *trace, tracing, "subplans", req.masks.size(), [&] {
-      if (req.batch_cb) {
-        req.batch_cb(std::move(result), error);
-      } else if (error != nullptr) {
-        req.batch.set_exception(error);
-      } else {
-        req.batch.set_value(std::move(result));
-      }
-    });
+    FinishRequest(req, *trace, tracing, kind, masks,
+                  [&] { done(std::move(result), error); });
+  };
+  obs::RequestTrace* kernel_trace = tracing ? trace : nullptr;
+  if (req.batch_cb) {
+    run("subplans", req.masks.size(), subplan_requests_,
+        [&] { return ServeBatch(req.query, req.masks, kernel_trace); },
+        req.batch_cb);
   } else {
-    double result = 0.0;
-    std::exception_ptr error;
-    try {
-      result = ServeSingle(req.query, tracing ? trace : nullptr);
-      requests_.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      error = std::current_exception();
-    }
-    FinishRequest(req, *trace, tracing, "estimate", 0, [&] {
-      if (req.single_cb) {
-        req.single_cb(result, error);
-      } else if (error != nullptr) {
-        req.single.set_exception(error);
-      } else {
-        req.single.set_value(result);
-      }
-    });
+    run("estimate", 0, requests_,
+        [&] { return ServeSingle(req.query, kernel_trace); }, req.single_cb);
   }
 }
 
@@ -221,8 +219,8 @@ void EstimatorService::FinishRequest(Request& req, obs::RequestTrace& trace,
       }
     }
   }
-  // The respond span (callback or promise fulfillment) cannot be part of
-  // the request's own trace/latency — it runs after both are sealed — so it
+  // The respond span (the completion callback) cannot be part of the
+  // request's own trace/latency — it runs after both are sealed — so it
   // feeds only the aggregate stage histogram.
   if (tracing) {
     obs::SpanTimer respond;

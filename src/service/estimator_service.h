@@ -116,14 +116,18 @@ class EstimatorService {
   EstimatorService(const EstimatorService&) = delete;
   EstimatorService& operator=(const EstimatorService&) = delete;
 
-  /// Completion callbacks for the callback-dispatch variants below: exactly
-  /// one of (value, error) is meaningful — `error` is nullptr on success.
-  /// Callbacks run ON A WORKER THREAD right after the request is served;
-  /// they must be quick, must not throw, and must not call the service's
-  /// blocking APIs (Estimate/EstimateSubplans/Drain — the worker-thread
-  /// guard turns that deadlock into std::logic_error). This is the hook the
-  /// remote front end (net/server.h) uses to write responses in completion
-  /// order without parking a thread per outstanding future.
+  /// Completion callbacks: every request leaves the service through exactly
+  /// one call of its callback, and the future-returning overloads are thin
+  /// wrappers that pass a callback fulfilling a promise. Exactly one of
+  /// (value, error) is meaningful — `error` is nullptr on success. An
+  /// empty callback is rejected with std::invalid_argument before anything
+  /// is queued. Callbacks run ON A WORKER THREAD right after the request is
+  /// served; they must be quick, must not throw, and must not call the
+  /// service's blocking APIs (Estimate/EstimateSubplans/Drain — the
+  /// worker-thread guard turns that deadlock into std::logic_error). This
+  /// is the hook the remote front end (net/server.h) uses to write
+  /// responses in completion order without parking a thread per
+  /// outstanding future.
   using EstimateCallback = std::function<void(double, std::exception_ptr)>;
   using SubplansCallback = std::function<void(
       std::unordered_map<uint64_t, double>, std::exception_ptr)>;
@@ -133,13 +137,13 @@ class EstimatorService {
   /// queue is full; throws std::runtime_error after Shutdown().
   std::future<double> EstimateAsync(Query query);
 
-  /// Callback-dispatch variant: `done` is invoked on the serving worker
-  /// instead of fulfilling a future. Same blocking/shutdown behavior.
-  /// `trace_sink`, when non-null, receives the request's stage breakdown:
-  /// the worker records its spans directly into it, and it is fully written
-  /// by the time `done` runs (stages a caller pre-filled — e.g. the net
-  /// server's decode span — are preserved). The sink must not be touched by
-  /// the caller between submission and completion.
+  /// Callback-dispatch variant: `done` is invoked on the serving worker.
+  /// Same blocking/shutdown behavior. `trace_sink`, when non-null, receives
+  /// the request's stage breakdown: the worker records its spans directly
+  /// into it, and it is fully written by the time `done` runs (stages a
+  /// caller pre-filled — e.g. the net server's decode span — are
+  /// preserved). The sink must not be touched by the caller between
+  /// submission and completion.
   void EstimateAsync(Query query, EstimateCallback done,
                      std::shared_ptr<obs::RequestTrace> trace_sink = nullptr);
 
@@ -214,16 +218,14 @@ class EstimatorService {
  private:
   struct Request {
     Query query;
-    std::vector<uint64_t> masks;  // batched iff non-empty
-    bool batched = false;
-    std::promise<double> single;
-    std::promise<std::unordered_map<uint64_t, double>> batch;
-    // When set, the matching callback is invoked on the worker instead of
-    // the promise being fulfilled.
+    std::vector<uint64_t> masks;
+    // The one completion path, invoked on the worker; exactly one is set,
+    // and batch_cb marks a batched request. The future-returning overloads
+    // pass a callback that fulfils a promise.
     EstimateCallback single_cb;
     SubplansCallback batch_cb;
-    // Per-request trace destination (callback variants): the worker records
-    // spans straight into it so pre-filled stages (net decode) survive.
+    // Per-request trace destination: the worker records spans straight
+    // into it so pre-filled stages (net decode) survive.
     std::shared_ptr<obs::RequestTrace> trace_sink;
     WallTimer submitted;  // end-to-end latency starts at enqueue
   };

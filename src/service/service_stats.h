@@ -22,7 +22,7 @@ struct ServiceStats {
   uint64_t subplan_requests = 0;
   /// Individual sub-plan estimates produced inside batched requests.
   uint64_t subplans_estimated = 0;
-  /// Requests whose promise was fulfilled with an exception.
+  /// Requests that completed with an exception.
   uint64_t errors = 0;
   /// NotifyUpdate calls received (data-update notifications). Always equals
   /// `epoch`: both are captured from one atomic read of the epoch registry,

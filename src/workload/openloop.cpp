@@ -63,6 +63,24 @@ void AppendCopiedRows(Table* table, uint32_t rows, size_t base) {
 
 }  // namespace
 
+LoadTarget::ReadDone TrackingTarget::Track(ReadDone done) {
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
+  return [this, done = std::move(done)](std::exception_ptr error) {
+    done(std::move(error));
+    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(mu_);
+      idle_.notify_all();
+    }
+  };
+}
+
+void TrackingTarget::AwaitIdle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [this] {
+    return outstanding_.load(std::memory_order_acquire) == 0;
+  });
+}
+
 InProcessTarget::InProcessTarget(Database* db,
                                  CardinalityEstimator* estimator,
                                  EstimatorService* service)
@@ -72,18 +90,14 @@ InProcessTarget::InProcessTarget(Database* db,
       table_names_(db->TableNames()) {}
 
 void InProcessTarget::SubmitRead(const Query& query, ReadDone done) {
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
+  ReadDone tracked = Track(std::move(done));
   try {
     service_->EstimateAsync(
-        query, [this, done = std::move(done)](double, std::exception_ptr err) {
-          done(err);
-          Finish();
-        });
+        query, [tracked](double, std::exception_ptr err) { tracked(err); });
   } catch (...) {
     // Submission failed (service shut down): the callback still owes its
     // exactly-one invocation.
-    done(std::current_exception());
-    Finish();
+    tracked(std::current_exception());
   }
 }
 
@@ -111,20 +125,6 @@ void InProcessTarget::ApplyUpdate(const LoadOp& op) {
   service_->NotifyUpdate(table_name);
 }
 
-void InProcessTarget::AwaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void InProcessTarget::Finish() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_.notify_all();
-  }
-}
-
 RemoteTarget::RemoteTarget(net::EstimatorClient* client,
                            std::vector<std::string> table_names,
                            std::string model)
@@ -133,15 +133,11 @@ RemoteTarget::RemoteTarget(net::EstimatorClient* client,
       model_(std::move(model)) {}
 
 void RemoteTarget::SubmitRead(const Query& query, ReadDone done) {
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
   // The client's callback hook never throws and runs `done` exactly once
   // (connection failures arrive as the error argument).
-  client_->EstimateAsync(
-      model_, query,
-      [this, done = std::move(done)](double, std::exception_ptr err) {
-        done(err);
-        Finish();
-      });
+  client_->EstimateAsync(model_, query,
+                         [tracked = Track(std::move(done))](
+                             double, std::exception_ptr err) { tracked(err); });
 }
 
 void RemoteTarget::ApplyUpdate(const LoadOp& op) {
@@ -150,20 +146,6 @@ void RemoteTarget::ApplyUpdate(const LoadOp& op) {
   // updates"), so a remote update op exercises the invalidation half only.
   client_->NotifyUpdate(model_,
                         table_names_[op.index % table_names_.size()]);
-}
-
-void RemoteTarget::AwaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void RemoteTarget::Finish() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_.notify_all();
-  }
 }
 
 OpenLoopResult RunOpenLoop(const Trace& trace,

@@ -66,13 +66,29 @@ class LoadTarget {
   virtual void AwaitIdle() = 0;
 };
 
+/// The library targets' outstanding-read accounting: Track() counts a read
+/// in and wraps its `done` so the read counts out once `done` has run;
+/// AwaitIdle() waits for the count to reach zero.
+class TrackingTarget : public LoadTarget {
+ public:
+  void AwaitIdle() override;
+
+ protected:
+  ReadDone Track(ReadDone done);
+
+ private:
+  std::atomic<uint64_t> outstanding_{0};
+  std::mutex mu_;
+  std::condition_variable idle_;
+};
+
 /// Drives an in-process EstimatorService. Updates run the full versioned-
 /// statistics protocol: Drain() (the dispatcher is the only submitter, so
 /// draining quiesces the service), mutate the table, ApplyInsert /
 /// ApplyDelete on the estimator, then NotifyUpdate so cached estimates
 /// touching the table are invalidated. Estimators without update support
 /// skip the mutation and only take the cache invalidation.
-class InProcessTarget : public LoadTarget {
+class InProcessTarget : public TrackingTarget {
  public:
   /// All three must outlive the target. `estimator` is the same estimator
   /// `service` wraps — the mutable reference is what updates go through.
@@ -81,19 +97,12 @@ class InProcessTarget : public LoadTarget {
 
   void SubmitRead(const Query& query, ReadDone done) override;
   void ApplyUpdate(const LoadOp& op) override;
-  void AwaitIdle() override;
 
  private:
-  void Finish();
-
   Database* db_;
   CardinalityEstimator* estimator_;
   EstimatorService* service_;
   std::vector<std::string> table_names_;  // db table order, fixed at ctor
-
-  std::atomic<uint64_t> outstanding_{0};
-  std::mutex mu_;
-  std::condition_variable idle_;
 };
 
 /// Drives a remote fj_server through a pipelined EstimatorClient. Reads
@@ -102,7 +111,7 @@ class InProcessTarget : public LoadTarget {
 /// server's estimator over today's protocol (see ROADMAP "replicated
 /// updates"), so they degrade to NotifyUpdate — the cache-invalidation
 /// half, which is the part that shows up in serving latency.
-class RemoteTarget : public LoadTarget {
+class RemoteTarget : public TrackingTarget {
  public:
   /// `client` must outlive the target. `table_names` maps update-op table
   /// indices (db order on the generating side); `model` routes requests
@@ -112,18 +121,11 @@ class RemoteTarget : public LoadTarget {
 
   void SubmitRead(const Query& query, ReadDone done) override;
   void ApplyUpdate(const LoadOp& op) override;
-  void AwaitIdle() override;
 
  private:
-  void Finish();
-
   net::EstimatorClient* client_;
   std::vector<std::string> table_names_;
   std::string model_;
-
-  std::atomic<uint64_t> outstanding_{0};
-  std::mutex mu_;
-  std::condition_variable idle_;
 };
 
 struct OpenLoopResult {

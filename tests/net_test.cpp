@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -870,6 +871,249 @@ TEST(RemoteTest, LostConnectionFailsOutstandingFutures) {
     }
   }
   SUCCEED() << failed << " of 4 futures failed with the connection";
+}
+
+
+// A remote client that left must stop counting as an active connection
+// right away, not at the server's next accept.
+TEST(RemoteTest, ClosedConnectionLeavesActiveGauge) {
+  RemoteStack stack;
+  {
+    EstimatorClientOptions options;
+    options.endpoint = stack.server.endpoint();
+    EstimatorClient leaving(options);
+    Query q = ChainQuery(30, 250);
+    EXPECT_EQ(leaving.Estimate(q), stack.estimator.Estimate(q));
+    EXPECT_EQ(stack.server.Stats().connections_active, 2u);
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (stack.server.Stats().connections_active != 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(stack.server.Stats().connections_active, 1u);
+  // The remaining client is unaffected.
+  Query q = ChainQuery(31, 260);
+  EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
+}
+
+// Only the client's receiver thread can fulfil a response future, and
+// completion callbacks run on it: a blocking call made from a callback
+// must fail fast instead of waiting on itself.
+TEST(RemoteTest, BlockingCallFromCompletionCallbackThrows) {
+  RemoteStack stack;
+  Query q = ChainQuery(30, 250);
+  EstimatorClient* client = stack.client.get();
+  std::promise<std::string> outcome;
+  client->EstimateAsync("", q, [&](double, std::exception_ptr error) {
+    if (error != nullptr) {
+      outcome.set_value("request failed");
+      return;
+    }
+    try {
+      client->Estimate(q);
+      outcome.set_value("blocking call returned");
+    } catch (const std::logic_error& e) {
+      outcome.set_value(std::string("logic_error: ") + e.what());
+    } catch (...) {
+      outcome.set_value("other exception");
+    }
+  });
+  std::future<std::string> result = outcome.get_future();
+  if (result.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    // The receiver is parked for good; leak the client rather than hang
+    // in its destructor, so the failure is reported.
+    (void)stack.client.release();
+    FAIL() << "blocking call from a completion callback deadlocked";
+  }
+  std::string message = result.get();
+  EXPECT_EQ(message.rfind("logic_error", 0), 0u) << message;
+  EXPECT_NE(message.find("receiver thread"), std::string::npos) << message;
+  // The receiver survives and keeps serving.
+  EXPECT_EQ(client->Estimate(q), stack.estimator.Estimate(q));
+}
+
+TEST(RemoteTest, ThrowingCallbackLeavesClientWorking) {
+  RemoteStack stack;
+  Query q = ChainQuery(30, 250);
+  EstimatorClient* client = stack.client.get();
+  std::promise<void> first;
+  client->EstimateAsync("", q, [&](double, std::exception_ptr) {
+    first.set_value();
+    throw std::runtime_error("callback failed");
+  });
+  std::promise<void> second;
+  client->EstimateAsync("", q, [&](double, std::exception_ptr) {
+    second.set_value();
+    // The receiver-thread guard's own throw, left uncaught.
+    client->Estimate(q);
+  });
+  first.get_future().get();
+  second.get_future().get();
+  // The receiver survived both throws: later requests still complete.
+  EXPECT_EQ(client->Estimate(q), stack.estimator.Estimate(q));
+  std::promise<double> third;
+  client->EstimateAsync("", q, [&](double value, std::exception_ptr error) {
+    EXPECT_EQ(error, nullptr);
+    third.set_value(value);
+  });
+  EXPECT_EQ(third.get_future().get(), stack.estimator.Estimate(q));
+}
+
+// ---------------------------------------------------------------------------
+// Client completion contract against a scripted server.
+
+// A stand-in for EstimatorServer on loopback TCP: answers one client's
+// handshake, then lets the test read each request frame and write any
+// response it likes, well-formed or not.
+class FakeServer {
+ public:
+  FakeServer() : listener_(net::Endpoint{}) {
+    acceptor_ = std::thread([this] {
+      fd_ = listener_.Accept();
+      if (fd_ < 0) return;  // closed before a client came
+      auto hello = net::ReadFrame(fd_, net::kDefaultMaxFrameBytes);
+      if (hello.has_value()) {
+        net::WriteFrame(fd_, MsgType::kHelloAck, 0, net::EncodeHello({}));
+      }
+    });
+  }
+
+  ~FakeServer() {
+    listener_.Close();
+    if (acceptor_.joinable()) acceptor_.join();
+    Hangup();
+  }
+
+  /// A client connected (handshake done) to this server.
+  std::unique_ptr<EstimatorClient> Connect() {
+    EstimatorClientOptions options;
+    options.endpoint.port = listener_.port();
+    options.reconnect_attempts = 1;
+    auto client = std::make_unique<EstimatorClient>(options);
+    client->Connect();
+    acceptor_.join();
+    return client;
+  }
+
+  /// The next request frame the client sent.
+  Frame Next() {
+    auto frame = net::ReadFrame(fd_, net::kDefaultMaxFrameBytes);
+    EXPECT_TRUE(frame.has_value());
+    return frame.value_or(Frame{});
+  }
+
+  void Reply(MsgType type, uint64_t request_id,
+             const std::vector<uint8_t>& body) {
+    ASSERT_TRUE(net::WriteFrame(fd_, type, request_id, body));
+  }
+
+  /// Drops the connection without answering what is still pending.
+  void Hangup() {
+    if (fd_ < 0) return;
+    net::ShutdownSocket(fd_);
+    net::CloseSocket(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  net::ListenSocket listener_;
+  std::thread acceptor_;
+  int fd_ = -1;
+};
+
+// A response of the wrong type fails that request with ProtocolError; the
+// connection stays usable for the next one.
+TEST(ClientContractTest, MismatchedResponseTypeFailsOnlyThatRequest) {
+  FakeServer server;
+  auto client = server.Connect();
+  Query q = ChainQuery(30, 250);
+
+  std::future<double> wrong = client->EstimateAsync(q);
+  Frame req = server.Next();
+  EXPECT_EQ(req.type, MsgType::kEstimateReq);
+  server.Reply(MsgType::kStatsResp, req.request_id,
+               net::EncodeServiceStats(ServiceStats{}));
+  EXPECT_THROW(wrong.get(), ProtocolError);
+
+  std::future<double> right = client->EstimateAsync(q);
+  req = server.Next();
+  server.Reply(MsgType::kEstimateResp, req.request_id,
+               net::EncodeEstimateResp(42.5));
+  EXPECT_EQ(right.get(), 42.5);
+  EXPECT_TRUE(client->IsConnected());
+}
+
+// A response body that does not decode fails its own future and nothing
+// else: the pipelined request behind it still completes.
+TEST(ClientContractTest, MalformedResponseBodyFailsOnlyItsFuture) {
+  FakeServer server;
+  auto client = server.Connect();
+  Query q = ChainQuery(30, 250);
+
+  auto bad = client->EstimateSubplansAsync(q, {1, 3});
+  auto good = client->EstimateTracedAsync("", q);
+  Frame bad_req = server.Next();
+  Frame good_req = server.Next();
+  EXPECT_EQ(bad_req.type, MsgType::kSubplansReq);
+  EXPECT_EQ(good_req.type, MsgType::kEstimateReq);
+  // Claims three entries, carries none.
+  ByteWriter truncated;
+  truncated.U32(3);
+  server.Reply(MsgType::kSubplansResp, bad_req.request_id, truncated.bytes());
+  server.Reply(MsgType::kEstimateResp, good_req.request_id,
+               net::EncodeEstimateResp(7.0));
+
+  EXPECT_THROW(bad.get(), ProtocolError);
+  EstimatorClient::TracedEstimate traced = good.get();
+  EXPECT_EQ(traced.estimate, 7.0);
+  EXPECT_FALSE(traced.has_trace);
+  EXPECT_TRUE(client->IsConnected());
+}
+
+// A lost connection fails every kind of pending request with NetError,
+// and the callback estimate runs exactly once.
+TEST(ClientContractTest, ConnectionLossFailsEveryPendingKindOnce) {
+  FakeServer server;
+  auto client = server.Connect();
+  Query q = ChainQuery(30, 250);
+
+  std::atomic<int> callback_runs{0};
+  std::promise<std::exception_ptr> callback_error;
+  client->EstimateAsync("", q, [&](double, std::exception_ptr error) {
+    if (callback_runs.fetch_add(1) == 0) callback_error.set_value(error);
+  });
+  auto plain = client->EstimateAsync(q);
+  auto batch = client->EstimateSubplansAsync(q, {1, 3});
+  auto traced = client->EstimateTracedAsync("", q);
+  auto traced_batch = client->EstimateSubplansTracedAsync("", q, {1, 3});
+  // NotifyUpdate and Stats only come blocking: park them on threads.
+  auto notify = std::async(std::launch::async,
+                           [&] { return client->NotifyUpdate("orders"); });
+  auto stats = std::async(std::launch::async, [&] { return client->Stats(); });
+  // Every request is on the wire (so registered) before the hangup.
+  for (int i = 0; i < 7; ++i) server.Next();
+  server.Hangup();
+
+  auto is_net_error = [](std::exception_ptr error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const NetError&) {
+      return true;
+    } catch (...) {
+      return false;
+    }
+  };
+  EXPECT_TRUE(is_net_error(callback_error.get_future().get()));
+  EXPECT_THROW(plain.get(), NetError);
+  EXPECT_THROW(batch.get(), NetError);
+  EXPECT_THROW(traced.get(), NetError);
+  EXPECT_THROW(traced_batch.get(), NetError);
+  EXPECT_THROW(notify.get(), NetError);
+  EXPECT_THROW(stats.get(), NetError);
+  // A later disconnect sweep finds nothing left to fail.
+  client->Disconnect();
+  EXPECT_EQ(callback_runs.load(), 1);
 }
 
 }  // namespace

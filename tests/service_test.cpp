@@ -770,6 +770,23 @@ TEST(ServiceTest, CallbackVariantsMatchFutureVariants) {
   EXPECT_THROW(std::rethrow_exception(error), std::invalid_argument);
 }
 
+TEST(ServiceTest, EmptyCallbacksAreRejectedBeforeQueueing) {
+  Database db = MakeDb();
+  FactorJoinEstimator estimator = MakeEstimator(db);
+  EstimatorService service(estimator, {.num_threads = 1});
+  Query q = ChainQuery(25, 300);
+  std::vector<uint64_t> masks = EnumerateConnectedSubsets(q, 1);
+  EXPECT_THROW(service.EstimateAsync(q, EstimatorService::EstimateCallback{}),
+               std::invalid_argument);
+  EXPECT_THROW(service.EstimateSubplansAsync(
+                   q, masks, EstimatorService::SubplansCallback{}),
+               std::invalid_argument);
+  // Nothing was queued, and the workers still serve.
+  service.Drain();
+  EXPECT_EQ(service.Stats().requests + service.Stats().subplan_requests, 0u);
+  EXPECT_EQ(service.Estimate(q), estimator.Estimate(q));
+}
+
 TEST(ServiceTest, PendingGaugeRisesAndDrainsToZero) {
   Database db = MakeDb();
   FactorJoinEstimator estimator = MakeEstimator(db);

@@ -206,9 +206,12 @@ echo "net_smoke: phase 3 (metrics endpoint + trace + slow log) OK"
 if [[ -z "$LOADGEN_BIN" ]]; then
   echo "net_smoke: no fj_loadgen path given; skipping phase 4"
 else
-  # Two workers keep the capacity low enough that the burst below is far
-  # past saturation on any machine; the SLO spec arms the burn-rate gauges.
-  start_server "${WORKLOAD_FLAGS[@]}" --metrics-port 0 --threads 2 \
+  # One worker keeps the service's capacity below what one connection
+  # delivers, so the burst below backs up the service queue that the
+  # health monitor watches. (With two workers serving these cached
+  # queries, the connection's reader and writer cap the rate first and
+  # the queue stays near empty.) The SLO spec arms the burn-rate gauges.
+  start_server "${WORKLOAD_FLAGS[@]}" --metrics-port 0 --threads 1 \
     --slo p99=5ms,avail=99.9
   resolve_metrics_url
   BASE_URL="${METRICS_URL%/metrics}"
