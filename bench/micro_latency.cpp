@@ -7,6 +7,8 @@
 // A second table times sub-plan keying (the serving cache's key per
 // sub-plan) on STATS-CEB and IMDB-JOB masks: SubplanKeyer as the service
 // uses it, against materialising each sub-query and fingerprinting it.
+// A third times the serving cache itself, full at the service's default
+// size: a lookup that misses plus the insert that evicts, and a hit.
 //
 // Self-timed passes over the whole workload (no external benchmark library):
 // each case is warmed once, then repeated until kMinSeconds of wall time or
@@ -23,6 +25,8 @@
 #include "baselines/postgres_estimator.h"
 #include "factorjoin/estimator.h"
 #include "method_zoo.h"
+#include "service/sharded_cache.h"
+#include "util/rng.h"
 
 using namespace fj;
 using namespace fj::bench;
@@ -90,6 +94,67 @@ KeyingResult TimeKeying(const std::vector<Query>& queries) {
   return result;
 }
 
+struct CacheOpResult {
+  double miss_insert_ns = 0.0;  // per key: a missing lookup + evicting insert
+  double hit_ns = 0.0;          // per key: a lookup that hits
+};
+
+/// `per_shard` random keys for each shard of a 16-shard cache, so inserting
+/// them fills every shard exactly.
+std::vector<QueryFingerprint> BalancedKeys(size_t per_shard, Rng* rng) {
+  constexpr size_t kShards = 16;
+  std::vector<std::vector<QueryFingerprint>> by_shard(kShards);
+  size_t filled = 0;
+  while (filled < kShards) {
+    QueryFingerprint key{rng->Next64(), rng->Next64()};
+    auto& shard = by_shard[(key.lo ^ key.hi) & (kShards - 1)];
+    if (shard.size() == per_shard) continue;
+    shard.push_back(key);
+    if (shard.size() == per_shard) ++filled;
+  }
+  std::vector<QueryFingerprint> keys;
+  for (const auto& shard : by_shard) {
+    keys.insert(keys.end(), shard.begin(), shard.end());
+  }
+  rng->Shuffle(&keys);
+  return keys;
+}
+
+/// Times the service's cache (65,536 entries over 16 shards) kept full.
+/// The miss case alternates two disjoint key sets of one cache-full each:
+/// every lookup misses and every insert evicts the shard's LRU entry. The
+/// hit case then looks up the resident set in shuffled order.
+CacheOpResult TimeCacheOps() {
+  constexpr size_t kEntries = size_t{1} << 16;
+  ShardedEstimateCache cache(kEntries, 16);
+  Rng rng(1);
+  std::vector<QueryFingerprint> sets[2] = {BalancedKeys(kEntries / 16, &rng),
+                                           BalancedKeys(kEntries / 16, &rng)};
+  for (const QueryFingerprint& key : sets[0]) cache.Insert(key, 1.0);
+  size_t next = 1;
+  CaseResult miss = TimeCase(kEntries, [&] {
+    for (const QueryFingerprint& key : sets[next]) {
+      if (!cache.Lookup(key).has_value()) cache.Insert(key, 1.0);
+    }
+    next ^= 1;
+  });
+  const std::vector<QueryFingerprint>& resident = sets[next ^ 1];
+  CaseResult hit = TimeCase(kEntries, [&] {
+    double sum = 0.0;
+    for (const QueryFingerprint& key : resident) {
+      sum += cache.Lookup(key).value_or(0.0);
+    }
+    DoNotOptimizeAway(sum);
+  });
+  CacheStats stats = cache.Stats();
+  if (stats.entries != kEntries || stats.hits == 0 || stats.evictions == 0) {
+    std::fprintf(stderr, "micro_latency: cache case did not stay full\n");
+  }
+  CacheOpResult result;
+  result.miss_insert_ns = 1e9 / miss.subplans_per_sec;
+  result.hit_ns = 1e9 / hit.subplans_per_sec;
+  return result;
+}
 
 }  // namespace
 
@@ -190,6 +255,13 @@ int main(int argc, char** argv) {
              Fmt(imdb_keys.keyer_ns, 1), Fmt(imdb_keys.materialised_ns, 1)});
   kp.Print();
 
+  CacheOpResult cache_ops = TimeCacheOps();
+  std::printf("\n");
+  TablePrinter cp({"Cache op (65,536 entries, full)", "ns/op"});
+  cp.AddRow({"miss + evicting insert", Fmt(cache_ops.miss_insert_ns, 1)});
+  cp.AddRow({"hit", Fmt(cache_ops.hit_ns, 1)});
+  cp.Print();
+
   report.Add("progressive_ms_per_pass", progressive.ms_per_pass, "ms");
   report.Add("progressive_subplans_per_sec", progressive.subplans_per_sec,
              "1/s");
@@ -203,6 +275,8 @@ int main(int argc, char** argv) {
              stats_keys.materialised_ns, "ns");
   report.Add("key_materialised_ns_per_subplan_imdb", imdb_keys.materialised_ns,
              "ns");
+  report.Add("cache_miss_insert_ns", cache_ops.miss_insert_ns, "ns");
+  report.Add("cache_hit_ns", cache_ops.hit_ns, "ns");
   report.Write();
   return 0;
 }

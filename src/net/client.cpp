@@ -16,26 +16,67 @@ thread_local const EstimatorClient* receiving_for = nullptr;
 EstimatorClient::EstimatorClient(EstimatorClientOptions options)
     : options_(std::move(options)) {}
 
-EstimatorClient::~EstimatorClient() { Disconnect(); }
+EstimatorClient::~EstimatorClient() {
+  std::vector<ConnectionPtr> dead;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A callback the teardown runs must not dial a connection nobody would
+    // close.
+    closing_ = true;
+    dead = DetachLocked();
+  }
+  Reap(std::move(dead));
+}
 
 void EstimatorClient::Connect() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ConnectLocked();
+  std::unique_lock<std::mutex> lock(mu_);
+  ConnectLocked(lock);
 }
 
 void EstimatorClient::Disconnect() {
-  std::lock_guard<std::mutex> lock(mu_);
-  DisconnectLocked("client disconnected");
+  std::vector<ConnectionPtr> dead;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    dead = DetachLocked();
+  }
+  Reap(std::move(dead));
 }
 
-void EstimatorClient::ConnectLocked() {
+std::vector<EstimatorClient::ConnectionPtr> EstimatorClient::DetachLocked() {
+  std::vector<ConnectionPtr> dead = std::move(retired_);
+  retired_.clear();
+  if (conn_ != nullptr) {
+    ShutdownSocket(conn_->fd);
+    dead.push_back(std::move(conn_));
+  }
+  connected_.store(false);
+  return dead;
+}
+
+void EstimatorClient::Reap(std::vector<ConnectionPtr> dead) {
+  for (ConnectionPtr& conn : dead) {
+    if (conn->receiver.get_id() == std::this_thread::get_id()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      retired_.push_back(std::move(conn));
+      continue;
+    }
+    // The receiver fails the connection's requests before it exits.
+    if (conn->receiver.joinable()) conn->receiver.join();
+    CloseSocket(conn->fd);
+  }
+}
+
+void EstimatorClient::ConnectLocked(std::unique_lock<std::mutex>& lock) {
   if (connected_.load()) return;
-  // A previous connection may have died: reap its receiver and fd first.
-  if (fd_ >= 0) {
-    ShutdownSocket(fd_);
-    if (receiver_.joinable()) receiver_.join();
-    CloseSocket(fd_);
-    fd_ = -1;
+  if (closing_) throw NetError("client is shutting down");
+  // A previous connection died: reap it first. Another thread may connect
+  // while mu_ is released, so look again after each reap.
+  while (conn_ != nullptr) {
+    std::vector<ConnectionPtr> dead = DetachLocked();
+    lock.unlock();
+    Reap(std::move(dead));
+    lock.lock();
+    if (connected_.load()) return;
   }
 
   int attempts = options_.reconnect_attempts < 1 ? 1
@@ -91,20 +132,14 @@ void EstimatorClient::ConnectLocked() {
                         std::to_string(kProtocolVersion));
   }
 
-  fd_ = fd;
+  conn_ = std::make_unique<Connection>();
+  conn_->fd = fd;
+  // The receiver marks the client disconnected under mu_, so never before
+  // this marks it connected.
+  conn_->receiver = std::thread([this, conn = conn_.get()] {
+    ReceiverLoop(conn);
+  });
   connected_.store(true);
-  receiver_ = std::thread([this, fd] { ReceiverLoop(fd); });
-}
-
-void EstimatorClient::DisconnectLocked(const char* reason) {
-  if (fd_ >= 0) {
-    ShutdownSocket(fd_);
-    if (receiver_.joinable()) receiver_.join();
-    CloseSocket(fd_);
-    fd_ = -1;
-  }
-  connected_.store(false);
-  FailAllPending(reason);
 }
 
 void EstimatorClient::ThrowIfReceiverThread(const char* what) const {
@@ -118,11 +153,11 @@ void EstimatorClient::ThrowIfReceiverThread(const char* what) const {
   }
 }
 
-void EstimatorClient::ReceiverLoop(int fd) {
+void EstimatorClient::ReceiverLoop(Connection* conn) {
   receiving_for = this;
   const char* reason = "connection lost";
   try {
-    while (auto frame = ReadFrame(fd, options_.max_frame_bytes)) {
+    while (auto frame = ReadFrame(conn->fd, options_.max_frame_bytes)) {
       if (frame->request_id == 0) {
         // Connection-level error: the server is about to drop us.
         reason = "connection closed by server";
@@ -130,25 +165,30 @@ void EstimatorClient::ReceiverLoop(int fd) {
       }
       std::unordered_map<uint64_t, Pending>::node_type pending;
       {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        pending = pending_.extract(frame->request_id);
+        std::lock_guard<std::mutex> lock(conn->pending_mu);
+        pending = conn->pending.extract(frame->request_id);
       }
-      // Responses for ids we no longer track (failed by an earlier
-      // disconnect) are dropped.
+      // Responses for ids we no longer track are dropped.
       if (!pending.empty()) Complete(pending.mapped(), *frame);
     }
   } catch (const ProtocolError&) {
     reason = "malformed frame from server";
   }
-  connected_.store(false);
-  FailAllPending(reason);
+  {
+    // Requests register under mu_ only while the client is connected, so
+    // once this connection is marked dead none can join its sweep below.
+    // A detached connection was already replaced or closed.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (conn_.get() == conn) connected_.store(false);
+  }
+  FailAllPending(*conn, reason);
 }
 
-void EstimatorClient::FailAllPending(const char* reason) {
+void EstimatorClient::FailAllPending(Connection& conn, const char* reason) {
   std::unordered_map<uint64_t, Pending> failed;
   {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    failed.swap(pending_);
+    std::lock_guard<std::mutex> lock(conn.pending_mu);
+    failed.swap(conn.pending);
   }
   for (auto& [id, pending] : failed) {
     pending.done(nullptr, std::make_exception_ptr(NetError(reason)));
@@ -174,31 +214,26 @@ void EstimatorClient::Complete(Pending& pending, const Frame& frame) {
 void EstimatorClient::Send(MsgType type, const std::vector<uint8_t>& body,
                            Pending pending) {
   uint64_t id = next_id_.fetch_add(1);
-  bool sent = false;
+  std::unique_lock<std::mutex> lock(mu_);
+  // Reconnect (if needed) BEFORE registering the op, so it lands on the
+  // connection it is written to. Registration still precedes the write, so
+  // a response racing the send always finds its op. Lock order
+  // mu_ -> pending_mu; the receiver takes them one at a time.
+  ConnectLocked(lock);
+  Connection& conn = *conn_;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Reconnect (if needed) BEFORE registering the op: ConnectLocked joins
-    // a dying receiver, whose FailAllPending sweep must not be able to
-    // swipe this not-yet-sent request. Registration still precedes the
-    // write, so a response racing the send always finds its op. Lock order
-    // mu_ -> pending_mu_; the receiver only ever takes pending_mu_.
-    ConnectLocked();
-    {
-      std::lock_guard<std::mutex> pending_lock(pending_mu_);
-      pending_.emplace(id, std::move(pending));
-    }
-    sent = WriteFrame(fd_, type, id, body);
+    std::lock_guard<std::mutex> pending_lock(conn.pending_mu);
+    conn.pending.emplace(id, std::move(pending));
   }
-  if (!sent) {
-    // The op may already have been failed by the receiver noticing the
-    // same dead connection; erasing it here keeps exactly one outcome.
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_.erase(id);
-    }
-    connected_.store(false);  // the next request redials
-    throw NetError("connection lost while sending request");
+  if (WriteFrame(conn.fd, type, id, body)) return;
+  // The receiver sweeps this connection's ops only after taking mu_, so the
+  // op is still registered: erasing it here keeps exactly one outcome.
+  {
+    std::lock_guard<std::mutex> pending_lock(conn.pending_mu);
+    conn.pending.erase(id);
   }
+  connected_.store(false);  // the next request redials
+  throw NetError("connection lost while sending request");
 }
 
 template <class T>

@@ -30,9 +30,11 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -75,7 +77,10 @@ class EstimatorClient {
   /// server rejects. Idempotent while connected.
   void Connect();
 
-  /// Fails outstanding requests with NetError and closes. Idempotent.
+  /// Closes the connection and fails its outstanding requests with
+  /// NetError; their callbacks have run when it returns (called from a
+  /// completion callback, they run once that callback returns). A callback
+  /// may issue a new request, which dials a new connection. Idempotent.
   void Disconnect();
 
   bool IsConnected() const { return connected_.load(); }
@@ -166,6 +171,17 @@ class EstimatorClient {
     std::function<void(const Frame*, std::exception_ptr)> done;
   };
 
+  /// One dialed socket, the receiver thread draining it, and the requests
+  /// sent on it. Each request belongs to the connection it was written to,
+  /// so a dying connection fails exactly its own requests.
+  struct Connection {
+    int fd = -1;
+    std::mutex pending_mu;
+    std::unordered_map<uint64_t, Pending> pending;  // guarded by pending_mu
+    std::thread receiver;
+  };
+  using ConnectionPtr = std::unique_ptr<Connection>;
+
   /// Registers `pending` under a fresh request id and sends the frame;
   /// throws NetError (after unregistering it) when the send fails.
   void Send(MsgType type, const std::vector<uint8_t>& body, Pending pending);
@@ -184,25 +200,35 @@ class EstimatorClient {
   /// Throws std::logic_error when called on this client's receiver thread;
   /// `what` names the blocking method in the message.
   void ThrowIfReceiverThread(const char* what) const;
-  void ConnectLocked();
-  void DisconnectLocked(const char* reason);
-  void ReceiverLoop(int fd);
-  void FailAllPending(const char* reason);
+  /// Dials if not connected. A dead connection is reaped first, with mu_
+  /// released: its receiver's failure sweep runs callbacks that may send.
+  void ConnectLocked(std::unique_lock<std::mutex>& lock);
+  /// Takes the live connection (its socket shut down, so its receiver
+  /// fails its requests and exits) and every retired one. Needs mu_.
+  std::vector<ConnectionPtr> DetachLocked();
+  /// Joins each receiver and closes its socket; call without mu_. A
+  /// connection whose receiver is the calling thread cannot be joined
+  /// there and is retired for the next reap.
+  void Reap(std::vector<ConnectionPtr> dead);
+  void ReceiverLoop(Connection* conn);
+  static void FailAllPending(Connection& conn, const char* reason);
   /// Hands one response frame to its pending request: kError becomes
   /// RemoteError, a response of another type ProtocolError.
   static void Complete(Pending& pending, const Frame& frame);
 
   const EstimatorClientOptions options_;
 
-  // Guards fd_/receiver_ lifecycle and serializes frame writes so two
-  // threads can't interleave the bytes of their frames.
+  // Guards the connection lifecycle and serializes frame writes so two
+  // threads can't interleave the bytes of their frames. Never held while
+  // joining a receiver or running a completion callback.
   std::mutex mu_;
-  int fd_ = -1;
-  std::thread receiver_;
+  ConnectionPtr conn_;
+  // Detached connections whose receiver could not be joined yet (it was the
+  // thread detaching them).
+  std::vector<ConnectionPtr> retired_;
+  bool closing_ = false;  // set by the destructor: no more dialing
   std::atomic<bool> connected_{false};
 
-  std::mutex pending_mu_;
-  std::unordered_map<uint64_t, Pending> pending_;
   std::atomic<uint64_t> next_id_{1};
 };
 

@@ -46,6 +46,7 @@ void EstimatorServer::Start() {
   start_micros_.store(obs::MonotonicMicros());
   listener_ = std::make_unique<ListenSocket>(options_.endpoint);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
+  reaper_thread_ = std::thread([this] { ReaperLoop(); });
 }
 
 void EstimatorServer::Stop() {
@@ -53,6 +54,13 @@ void EstimatorServer::Stop() {
   // listener_ can be null if Start()'s bind threw after setting started_.
   if (listener_ != nullptr) listener_->Close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  {
+    // stopping_ is set; taking the lock orders it before the reaper's next
+    // wait, so the wake-up cannot be lost.
+    std::lock_guard<std::mutex> lock(connections_mu_);
+  }
+  reap_cv_.notify_all();
+  if (reaper_thread_.joinable()) reaper_thread_.join();
 
   std::vector<ConnectionPtr> connections;
   {
@@ -103,36 +111,42 @@ ServerStats EstimatorServer::Stats() const {
     stats.stages[i] = stage_hist_[i].Snapshot();
   }
   {
-    // Connections whose reader exited stay listed until the next accept
-    // reaps them; they are closed, so they do not count.
     std::lock_guard<std::mutex> lock(connections_mu_);
-    stats.connections_active = static_cast<uint64_t>(
-        std::count_if(connections_.begin(), connections_.end(),
-                      [](const ConnectionPtr& conn) {
-                        return !conn->done.load();
-                      }));
+    stats.connections_active = ActiveLocked();
   }
   return stats;
 }
 
-void EstimatorServer::ReapFinished() {
-  std::vector<ConnectionPtr> finished;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    auto it = connections_.begin();
-    while (it != connections_.end()) {
-      if ((*it)->done.load()) {
-        finished.push_back(*it);
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const ConnectionPtr& conn : finished) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
+size_t EstimatorServer::ActiveLocked() const {
+  // Connections whose reader exited stay listed until the reaper joins
+  // them; they are closed, so they do not count.
+  return static_cast<size_t>(
+      std::count_if(connections_.begin(), connections_.end(),
+                    [](const ConnectionPtr& conn) {
+                      return !conn->done.load();
+                    }));
+}
+
+void EstimatorServer::ReaperLoop() {
+  std::unique_lock<std::mutex> lock(connections_mu_);
+  while (true) {
+    auto finished = connections_.end();
+    reap_cv_.wait(lock, [&] {
+      finished = std::find_if(
+          connections_.begin(), connections_.end(),
+          [](const ConnectionPtr& conn) { return conn->writer_exited; });
+      return stopping_.load() || finished != connections_.end();
+    });
+    if (stopping_.load()) return;  // Stop() closes what is left
+    ConnectionPtr conn = std::move(*finished);
+    connections_.erase(finished);
+    lock.unlock();
+    // The writer exits only after the reader closed the outbox, so both are
+    // done with the socket.
+    conn->reader.join();
+    conn->writer.join();
     CloseSocket(conn->fd);
+    lock.lock();
   }
 }
 
@@ -143,20 +157,19 @@ void EstimatorServer::AcceptLoop() {
       if (stopping_.load()) break;
       continue;  // transient accept failure
     }
-    ReapFinished();
     auto conn = std::make_shared<Connection>(fd, options_.outbox_capacity);
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      if (connections_.size() >= options_.max_clients) {
-        connections_rejected_.fetch_add(1);
-        CloseSocket(fd);
-        continue;
-      }
-      connections_.push_back(conn);
+    // Threads start under the lock, so the reaper never sees a listed
+    // connection whose thread handles are still being assigned.
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    if (ActiveLocked() >= options_.max_clients) {
+      connections_rejected_.fetch_add(1);
+      CloseSocket(fd);
+      continue;
     }
     connections_accepted_.fetch_add(1);
     conn->writer = std::thread([this, conn] { WriterLoop(conn); });
     conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+    connections_.push_back(std::move(conn));
   }
 }
 
@@ -217,7 +230,7 @@ void EstimatorServer::WriterLoop(ConnectionPtr conn) {
       ShutdownSocket(conn->fd);
       while (conn->outbox.Pop().has_value()) {
       }
-      return;
+      break;
     }
     stage_hist_[static_cast<size_t>(obs::Stage::kSocketWrite)].Record(
         write_span.ElapsedMicros());
@@ -225,8 +238,14 @@ void EstimatorServer::WriterLoop(ConnectionPtr conn) {
     responses_sent_.fetch_add(1);
   }
   // Outbox closed by the reader and fully flushed: now end the connection
-  // so the peer sees EOF only after the last queued frame.
+  // so the peer sees EOF only after the last queued frame, and hand the
+  // connection to the reaper.
   ShutdownSocket(conn->fd);
+  {
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    conn->writer_exited = true;
+  }
+  reap_cv_.notify_all();
 }
 
 EstimatorService* EstimatorServer::Resolve(const ConnectionPtr& conn,

@@ -37,6 +37,7 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -142,7 +143,8 @@ class EstimatorServer {
     MpmcQueue<std::vector<uint8_t>> outbox;
     std::thread reader;
     std::thread writer;
-    std::atomic<bool> done{false};  // reader exited; reapable
+    std::atomic<bool> done{false};  // reader exited: no longer active
+    bool writer_exited = false;     // reapable; guarded by connections_mu_
 
     /// Enqueues an encoded frame for the writer; drops it (returns false)
     /// once the connection is closing.
@@ -174,8 +176,13 @@ class EstimatorServer {
   /// violation).
   EstimatorService* Resolve(const ConnectionPtr& conn, uint64_t request_id,
                             const std::string& model);
-  /// Joins and forgets connections whose reader has exited.
-  void ReapFinished();
+  /// Joins, closes and forgets each connection as soon as its writer (the
+  /// last of its two threads to use the socket) exits, so a closed
+  /// connection's socket never waits for the next client to be released.
+  void ReaperLoop();
+  /// Listed connections whose reader is still running. Needs
+  /// connections_mu_.
+  size_t ActiveLocked() const;
 
   ModelRegistry* registry_;  // not owned (may point at owned_registry_)
   // Backs the single-service constructor: a one-entry registry wrapping
@@ -185,11 +192,14 @@ class EstimatorServer {
 
   std::unique_ptr<ListenSocket> listener_;
   std::thread accept_thread_;
+  std::thread reaper_thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex connections_mu_;
   std::vector<ConnectionPtr> connections_;
+  // Signalled when a writer exits and when the server stops.
+  std::condition_variable reap_cv_;
 
   std::atomic<uint64_t> start_micros_{0};
   std::atomic<uint64_t> connections_accepted_{0};

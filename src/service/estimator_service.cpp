@@ -1,5 +1,6 @@
 #include "service/estimator_service.h"
 
+#include <array>
 #include <bit>
 #include <optional>
 #include <stdexcept>
@@ -275,7 +276,10 @@ double EstimatorService::ServeSingle(const Query& query,
   // estimator runs, the inserted entry is tagged with the pre-update epoch
   // and dies on its next lookup instead of serving a stale estimate forever.
   uint64_t epoch = epochs_.Epoch();
-  uint64_t table_bits = epochs_.BitsFor(query.BaseTables());
+  uint64_t table_bits = 0;
+  for (const TableRef& ref : query.tables()) {
+    table_bits |= epochs_.BitFor(ref.table);
+  }
   double estimate = estimator_.EstimateTraced(query, trace);
   obs::SpanTimer insert_span;
   cache_.Insert(fp, estimate, table_bits, epoch);
@@ -330,6 +334,11 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     if (auto cached = cache_.Lookup(fp)) {
       out.emplace(mask, *cached);
     } else {
+      if (miss_masks.empty()) {
+        // Sized once at the first miss; an all-hit batch allocates none.
+        miss_masks.reserve(masks.size());
+        miss_fps.reserve(masks.size());
+      }
       miss_masks.push_back(mask);
       miss_fps.push_back(fp);
     }
@@ -342,12 +351,12 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   if (!miss_masks.empty()) {
     std::unordered_map<uint64_t, double> fresh =
         estimator_.EstimateSubplansTraced(query, miss_masks, trace);
-    // Table bits per alias, resolved once per batch: the per-entry loop
-    // below must stay free of registry locks and allocations (a batch can
-    // carry ~10k masks).
-    std::vector<uint64_t> alias_bits(query.NumTables());
+    // Table bits per alias, resolved once per batch by table name: the
+    // per-entry loop below must stay free of registry locks and
+    // allocations (a batch can carry ~10k masks).
+    std::array<uint64_t, Query::kMaxTables> alias_bits{};
     for (size_t i = 0; i < query.NumTables(); ++i) {
-      alias_bits[i] = epochs_.BitsFor(query.BaseTables(uint64_t{1} << i));
+      alias_bits[i] = epochs_.BitFor(query.tables()[i].table);
     }
     // Cache insertion is probe-side bookkeeping, not estimation: it counts
     // into the cache-probe stage together with the lookup loop above.
@@ -356,7 +365,6 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     for (size_t i = 0; i < miss_masks.size(); ++i) {
       auto it = fresh.find(miss_masks[i]);
       if (it == fresh.end()) continue;  // estimator skipped the mask
-      out.emplace(miss_masks[i], it->second);
       uint64_t table_bits = 0;
       uint64_t m = miss_masks[i];
       while (m != 0) {
@@ -368,6 +376,10 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     }
     insert_span.Record(trace, obs::Stage::kCacheProbe);
     subplans_estimated_.fetch_add(produced, std::memory_order_relaxed);
+    // The estimator's entries move into the response node by node, with no
+    // copy or allocation. A mask already answered by a hit keeps the hit (a
+    // repeated mask can miss, then hit an entry another worker inserted).
+    out.merge(fresh);
   }
   return out;
 }

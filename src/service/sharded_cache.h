@@ -6,6 +6,16 @@
 // global lock. Because the fingerprint is canonical, the same sub-plan
 // reached from different parent queries hits the same entry.
 //
+// Flat shards: each shard keeps its entries in one slot array threaded by an
+// intrusive, exact LRU list (uint32 prev/next links) and a free list, and
+// finds them through an open-addressed uint32 index (linear probing,
+// backward-shift deletion, load factor <= 0.5) positioned by fingerprint
+// bits the shard selection does not use. After construction nothing is
+// allocated: a lookup is a few probes into two arrays, an insert reuses a
+// freed slot or appends into reserved storage, and an eviction unlinks the
+// LRU tail in place. An entry costs 48 bytes of slot plus 8-16 bytes of
+// index.
+//
 // Versioned entries: each entry carries the statistics epoch it was computed
 // under and a bitmap of the base tables its sub-plan touches (see
 // TableEpochRegistry). A lookup that finds an entry predating a later update
@@ -14,11 +24,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "query/query.h"
@@ -49,7 +57,10 @@ class ShardedEstimateCache {
   /// (rounded up to a power of two so shard selection is a bit mask).
   /// `epochs`, when given (not owned, must outlive the cache), enables
   /// staleness checks against the registry's per-table epochs; without it
-  /// entries never go stale (the pre-invalidation behavior).
+  /// entries never go stale (the pre-invalidation behavior). Slot storage
+  /// is reserved here but only touched as entries arrive, so resident
+  /// memory follows use. Throws std::invalid_argument when a shard's share
+  /// exceeds 2^30 entries.
   explicit ShardedEstimateCache(size_t capacity, size_t num_shards = 16,
                                 const TableEpochRegistry* epochs = nullptr);
 
@@ -77,43 +88,63 @@ class ShardedEstimateCache {
 
   /// Aggregated counters over all shards. Thread-safe snapshot.
   CacheStats Stats() const;
-  size_t num_shards() const { return shards_.size(); }
-  size_t capacity() const { return shards_.size() * per_shard_capacity_; }
+  size_t num_shards() const { return num_shards_; }
+  size_t capacity() const { return num_shards_ * per_shard_capacity_; }
 
  private:
-  /// One cached estimate with its staleness tag.
-  struct CachedEstimate {
-    double value = 0.0;
-    uint64_t epoch = 0;       // registry epoch when the estimate started
-    uint64_t table_bits = 0;  // base tables the sub-plan touches
-  };
-  using LruList = std::list<std::pair<QueryFingerprint, CachedEstimate>>;
+  /// No slot: ends the LRU and free lists.
+  static constexpr uint32_t kNil = UINT32_MAX;
 
-  struct Shard {
+  /// One cached estimate with its staleness tag and LRU links.
+  struct Slot {
+    QueryFingerprint key;
+    double value;
+    uint64_t epoch;       // registry epoch when the estimate started
+    uint64_t table_bits;  // base tables the sub-plan touches
+    uint32_t prev;        // toward the most recently used end
+    uint32_t next;        // toward the least recently used end; free list
+  };
+
+  struct alignas(64) Shard {
     std::mutex mu;
-    // Front = most recently used. The map stores list iterators, which stay
-    // valid across splice-based LRU refreshes.
-    LruList lru;
-    std::unordered_map<QueryFingerprint, LruList::iterator,
-                       QueryFingerprintHash>
-        index;
+    // Live and freed slots; never grows past the shard's capacity, so the
+    // reservation made at construction is never reallocated.
+    std::vector<Slot> slots;
+    // Open-addressed index: slot + 1, or 0 for an empty position.
+    std::unique_ptr<uint32_t[]> index;
+    uint32_t head = kNil;       // most recently used
+    uint32_t tail = kNil;       // least recently used: the next victim
+    uint32_t free_list = kNil;  // slots erased by invalidation
+    size_t size = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t invalidations = 0;
   };
 
-  /// Removes the shard's least-recently-used entry to make room.
-  void EvictOne(Shard& shard);
-
   Shard& ShardFor(const QueryFingerprint& key) {
     // The fingerprint is already well mixed; low bits of lo^hi pick a shard.
-    return *shards_[(key.lo ^ key.hi) & shard_mask_];
+    return shards_[(key.lo ^ key.hi) & shard_mask_];
   }
+  /// Index position where the probe for `key` starts: the lo^hi bits above
+  /// the ones that picked the shard.
+  size_t Home(const QueryFingerprint& key) const {
+    return ((key.lo ^ key.hi) >> shard_bits_) & index_mask_;
+  }
+  /// Index position holding `key`, or the empty position ending its probe.
+  size_t Find(const Shard& shard, const QueryFingerprint& key) const;
+  /// Erases the entry at index position `pos`: backward-shifts the probe
+  /// run behind it, unlinks its slot from the LRU list and frees the slot.
+  void Erase(Shard& shard, size_t pos) const;
+  static void Unlink(Shard& shard, uint32_t slot);
+  static void PushFront(Shard& shard, uint32_t slot);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<Shard[]> shards_;
+  size_t num_shards_;
   size_t shard_mask_;
+  unsigned shard_bits_;
   size_t per_shard_capacity_;
+  size_t index_mask_;  // index positions per shard, minus one
   const TableEpochRegistry* epochs_;  // not owned; may be nullptr
 };
 

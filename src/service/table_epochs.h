@@ -52,13 +52,18 @@ class TableEpochRegistry {
     return e;
   }
 
+  /// The bit assigned to `table_name`, registering it if unseen. Looks the
+  /// name up in place: no allocation once the table is registered.
+  /// Thread-safe (mutex-protected registry).
+  uint64_t BitFor(const std::string& table_name) {
+    return uint64_t{1} << BitIndexFor(table_name);
+  }
+
   /// Bitmap over the bits assigned to `tables`, registering unseen names.
-  /// Thread-safe (mutex-protected registry; called once per cache insert).
+  /// Thread-safe (mutex-protected registry).
   uint64_t BitsFor(const std::vector<std::string>& tables) {
     uint64_t bits = 0;
-    for (const std::string& name : tables) {
-      bits |= uint64_t{1} << BitIndexFor(name);
-    }
+    for (const std::string& name : tables) bits |= BitFor(name);
     return bits;
   }
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -897,6 +898,42 @@ TEST(RemoteTest, ClosedConnectionLeavesActiveGauge) {
   EXPECT_EQ(stack.client->Estimate(q), stack.estimator.Estimate(q));
 }
 
+size_t OpenFds() {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// A client that disconnects gets its server-side socket closed within a
+// second, not when the next client connects.
+TEST(RemoteTest, DisconnectedClientsSocketClosesWithoutANewClient) {
+  Database db = MakeDb();
+  FactorJoinConfig config;
+  config.num_bins = 32;
+  FactorJoinEstimator estimator(db, config);
+  EstimatorService service(estimator, {.num_threads = 1});
+  EstimatorServer server(service);
+  server.Start();
+  const size_t before = OpenFds();
+  {
+    EstimatorClientOptions options;
+    options.endpoint = server.endpoint();
+    EstimatorClient client(options);
+    Query q = ChainQuery(30, 250);
+    EXPECT_EQ(client.Estimate(q), estimator.Estimate(q));
+    EXPECT_GT(OpenFds(), before);
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (OpenFds() != before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(OpenFds(), before);
+  EXPECT_EQ(server.Stats().connections_active, 0u);
+}
+
 // Only the client's receiver thread can fulfil a response future, and
 // completion callbacks run on it: a blocking call made from a callback
 // must fail fast instead of waiting on itself.
@@ -958,6 +995,57 @@ TEST(RemoteTest, ThrowingCallbackLeavesClientWorking) {
     third.set_value(value);
   });
   EXPECT_EQ(third.get_future().get(), stack.estimator.Estimate(q));
+}
+
+// Disconnect fails outstanding requests on the calling thread's watch; a
+// completion callback that re-issues its request on failure must not
+// deadlock it, and the re-issued request completes on a new connection.
+TEST(RemoteTest, DisconnectReturnsWhenACallbackReissues) {
+  RemoteStack stack;
+  Query q = ChainQuery(30, 250);
+  // Park both service workers so the client's request stays outstanding.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  for (int i = 0; i < 2; ++i) {
+    stack.service.EstimateAsync(
+        q, [gate](double, std::exception_ptr) { gate.wait(); });
+  }
+  EstimatorClient* client = stack.client.get();
+  std::promise<std::exception_ptr> first;
+  std::promise<double> reissued;
+  client->EstimateAsync("", q, [&, client](double, std::exception_ptr error) {
+    first.set_value(error);
+    if (error == nullptr) return;
+    client->EstimateAsync("", q, [&](double value, std::exception_ptr e) {
+      if (e != nullptr) {
+        reissued.set_exception(e);
+      } else {
+        reissued.set_value(value);
+      }
+    });
+  });
+  auto disconnected = std::make_shared<std::promise<void>>();
+  std::future<void> returned = disconnected->get_future();
+  auto disconnector = std::make_unique<std::thread>([client, disconnected] {
+    client->Disconnect();
+    disconnected->set_value();
+  });
+  bool ok = returned.wait_for(std::chrono::seconds(5)) ==
+            std::future_status::ready;
+  release.set_value();
+  if (!ok) {
+    // Disconnect and the receiver wait on each other for good; leak the
+    // client and the thread stuck in it rather than hang joining them, so
+    // the failure is reported.
+    (void)stack.client.release();
+    (void)disconnector.release();
+    FAIL() << "Disconnect deadlocked on a callback that re-issues";
+  }
+  disconnector->join();
+  std::exception_ptr error = first.get_future().get();
+  ASSERT_NE(error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(error), NetError);
+  EXPECT_EQ(reissued.get_future().get(), stack.estimator.Estimate(q));
 }
 
 // ---------------------------------------------------------------------------

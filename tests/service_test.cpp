@@ -9,9 +9,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <bit>
 #include <future>
+#include <list>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/postgres_estimator.h"
@@ -22,6 +26,7 @@
 #include "service/sharded_cache.h"
 #include "service/table_epochs.h"
 #include "storage/database.h"
+#include "util/rng.h"
 
 namespace fj {
 namespace {
@@ -464,6 +469,234 @@ TEST(ShardedCacheTest, StaleEntriesAreLazilyInvalidated) {
   // Re-inserting at the current epoch serves again.
   cache.Insert(qa.Fingerprint(), 3.0, reg.BitsFor({"users"}), reg.Epoch());
   EXPECT_EQ(cache.Lookup(qa.Fingerprint()).value(), 3.0);
+}
+
+// The list + hash-map LRU the flat cache must reproduce exactly: same shard
+// selection and per-shard budget, same staleness rule, same counters.
+class ReferenceLru {
+ public:
+  ReferenceLru(size_t capacity, size_t num_shards,
+               const TableEpochRegistry* epochs)
+      : shards_(std::bit_ceil(num_shards)),
+        per_shard_(std::max<size_t>(
+            1, (capacity + shards_.size() - 1) / shards_.size())),
+        epochs_(epochs) {}
+
+  std::optional<double> Lookup(const QueryFingerprint& key) {
+    Shard& shard = ShardFor(key);
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
+      ++shard.stats.misses;
+      return std::nullopt;
+    }
+    const Entry& entry = it->second->second;
+    if (epochs_->IsStale(entry.table_bits, entry.epoch)) {
+      shard.lru.erase(it->second);
+      shard.index.erase(it);
+      ++shard.stats.invalidations;
+      ++shard.stats.misses;
+      return std::nullopt;
+    }
+    ++shard.stats.hits;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return entry.value;
+  }
+
+  void Insert(const QueryFingerprint& key, double value, uint64_t table_bits,
+              uint64_t epoch) {
+    Shard& shard = ShardFor(key);
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      it->second->second = Entry{value, epoch, table_bits};
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      return;
+    }
+    if (shard.lru.size() >= per_shard_) {
+      ++shard.stats.evictions;
+      shard.index.erase(shard.lru.back().first);
+      shard.lru.pop_back();
+    }
+    shard.lru.emplace_front(key, Entry{value, epoch, table_bits});
+    shard.index.emplace(key, shard.lru.begin());
+  }
+
+  void Clear() {
+    for (Shard& shard : shards_) {
+      shard.lru.clear();
+      shard.index.clear();
+    }
+  }
+
+  CacheStats Stats() const {
+    CacheStats total;
+    for (const Shard& shard : shards_) {
+      total.hits += shard.stats.hits;
+      total.misses += shard.stats.misses;
+      total.evictions += shard.stats.evictions;
+      total.invalidations += shard.stats.invalidations;
+      total.entries += shard.lru.size();
+    }
+    return total;
+  }
+
+ private:
+  struct Entry {
+    double value;
+    uint64_t epoch;
+    uint64_t table_bits;
+  };
+  using List = std::list<std::pair<QueryFingerprint, Entry>>;
+  struct Shard {
+    List lru;  // front = most recently used
+    std::unordered_map<QueryFingerprint, List::iterator, QueryFingerprintHash>
+        index;
+    CacheStats stats;
+  };
+
+  Shard& ShardFor(const QueryFingerprint& key) {
+    return shards_[(key.lo ^ key.hi) & (shards_.size() - 1)];
+  }
+
+  std::vector<Shard> shards_;
+  size_t per_shard_;
+  const TableEpochRegistry* epochs_;
+};
+
+void ExpectSameStats(const CacheStats& got, const CacheStats& want,
+                     size_t op) {
+  EXPECT_EQ(got.hits, want.hits) << "after op " << op;
+  EXPECT_EQ(got.misses, want.misses) << "after op " << op;
+  EXPECT_EQ(got.evictions, want.evictions) << "after op " << op;
+  EXPECT_EQ(got.invalidations, want.invalidations) << "after op " << op;
+  EXPECT_EQ(got.entries, want.entries) << "after op " << op;
+}
+
+// Random Lookup / Insert / overwrite / stale-epoch / Clear sequences: the
+// flat cache serves the same values and counts the same hits, misses,
+// evictions, invalidations and entries as the reference after every
+// operation. `clustered` keys all share one shard and one index home, so
+// every probe walks one long run and every erase backward-shifts it.
+void RunDifferential(size_t capacity, size_t num_shards, bool clustered,
+                     uint64_t seed) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity) + ", shards " +
+               std::to_string(num_shards) +
+               (clustered ? ", clustered keys" : ", random keys"));
+  TableEpochRegistry reg;
+  const std::vector<std::string> tables = {"a", "b", "c", "d"};
+  ShardedEstimateCache cache(capacity, num_shards, &reg);
+  ReferenceLru ref(capacity, num_shards, &reg);
+  Rng rng(seed);
+  // About three keys per slot, so the cache keeps evicting.
+  std::vector<QueryFingerprint> keys(3 * capacity + 4);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = clustered ? QueryFingerprint{(i + 1) << 40, 0}
+                        : QueryFingerprint{rng.Next64(), rng.Next64()};
+  }
+  constexpr size_t kOps = 20000;
+  for (size_t op = 0; op < kOps; ++op) {
+    const QueryFingerprint& key = keys[rng.Below(keys.size())];
+    uint64_t dice = rng.Below(100);
+    if (dice < 45) {
+      std::optional<double> got = cache.Lookup(key);
+      std::optional<double> want = ref.Lookup(key);
+      ASSERT_EQ(got, want) << "lookup at op " << op;
+    } else if (dice < 93) {
+      // Inserts overwrite whenever the key is resident; a snapshot older
+      // than the current epoch makes the entry stale on arrival when one of
+      // its tables moved since.
+      double value = static_cast<double>(rng.Below(1000000));
+      uint64_t bits = reg.BitFor(tables[rng.Below(tables.size())]) |
+                      (rng.Chance(0.5)
+                           ? reg.BitFor(tables[rng.Below(tables.size())])
+                           : 0);
+      uint64_t epoch = rng.Chance(0.2) ? rng.Below(reg.Epoch() + 1)
+                                       : reg.Epoch();
+      cache.Insert(key, value, bits, epoch);
+      ref.Insert(key, value, bits, epoch);
+    } else if (dice < 99) {
+      reg.NotifyUpdate(tables[rng.Below(tables.size())]);
+    } else {
+      cache.Clear();
+      ref.Clear();
+    }
+    ExpectSameStats(cache.Stats(), ref.Stats(), op);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Every key resolves the same way at the end, too.
+  for (const QueryFingerprint& key : keys) {
+    ASSERT_EQ(cache.Lookup(key), ref.Lookup(key));
+  }
+  ExpectSameStats(cache.Stats(), ref.Stats(), kOps);
+}
+
+TEST(ShardedCacheTest, MatchesReferenceLruOnOneShard) {
+  for (size_t capacity : {1, 2, 5, 8, 33}) {
+    RunDifferential(capacity, 1, false, 11 + capacity);
+    RunDifferential(capacity, 1, true, 23 + capacity);
+  }
+}
+
+TEST(ShardedCacheTest, MatchesReferenceLruOnSixteenShards) {
+  for (size_t capacity : {16, 40, 64, 200}) {
+    RunDifferential(capacity, 16, false, 37 + capacity);
+    RunDifferential(capacity, 16, true, 41 + capacity);
+  }
+}
+
+// Threads hammer a full cache with lookups and evicting inserts: a hit
+// always returns the value its key was inserted with, the counters add up
+// to the operations issued, and the cache stays exactly at capacity.
+TEST(ShardedCacheTest, ConcurrentLookupInsertAtCapacity) {
+  constexpr size_t kCapacity = 256;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20000;
+  ShardedEstimateCache cache(kCapacity, 16);
+  std::vector<QueryFingerprint> keys(4 * kCapacity);
+  Rng rng(5);
+  for (QueryFingerprint& key : keys) key = {rng.Next64(), rng.Next64()};
+  auto value_of = [](const QueryFingerprint& key) {
+    return static_cast<double>(key.lo >> 11);
+  };
+  for (const QueryFingerprint& key : keys) cache.Insert(key, value_of(key));
+  CacheStats before = cache.Stats();
+  ASSERT_EQ(before.entries, kCapacity);
+
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> lookups{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng local(100 + static_cast<uint64_t>(t));
+      uint64_t mine = 0;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const QueryFingerprint& key = keys[local.Below(keys.size())];
+        if (local.Chance(0.5)) {
+          ++mine;
+          auto v = cache.Lookup(key);
+          if (v.has_value() && *v != value_of(key)) wrong.fetch_add(1);
+        } else {
+          cache.Insert(key, value_of(key));
+        }
+      }
+      lookups.fetch_add(mine);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  CacheStats after = cache.Stats();
+  EXPECT_EQ(after.hits + after.misses - before.hits - before.misses,
+            lookups.load());
+  EXPECT_EQ(after.entries, kCapacity);
+  EXPECT_GT(after.evictions, before.evictions);
+  // Every resident key still serves its own value.
+  size_t resident = 0;
+  for (const QueryFingerprint& key : keys) {
+    if (auto v = cache.Lookup(key)) {
+      ++resident;
+      EXPECT_EQ(*v, value_of(key));
+    }
+  }
+  EXPECT_EQ(resident, kCapacity);
 }
 
 // The acceptance-criteria test: after ApplyInsert + NotifyUpdate, a served
