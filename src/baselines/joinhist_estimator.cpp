@@ -224,10 +224,7 @@ double JoinHistEstimator::Estimate(const Query& query) const {
     if (leaves[i].card < leaves[start].card) start = i;
   }
   HistFactor current = std::move(leaves[start]);
-  uint64_t remaining =
-      ((query.NumTables() == 64) ? ~uint64_t{0}
-                                 : (uint64_t{1} << query.NumTables()) - 1) &
-      ~current.alias_mask;
+  uint64_t remaining = query.AllAliases() & ~current.alias_mask;
   while (remaining != 0) {
     int best = -1;
     uint64_t m = remaining;

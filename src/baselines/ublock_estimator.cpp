@@ -151,10 +151,7 @@ double UBlockEstimator::Estimate(const Query& query) const {
 
   std::vector<uint64_t> adj = query.AliasAdjacency();
   UFactor current = leaves[0];
-  uint64_t remaining =
-      ((query.NumTables() == 64) ? ~uint64_t{0}
-                                 : (uint64_t{1} << query.NumTables()) - 1) &
-      ~current.alias_mask;
+  uint64_t remaining = query.AllAliases() & ~current.alias_mask;
   while (remaining != 0) {
     int best = -1;
     uint64_t m = remaining;

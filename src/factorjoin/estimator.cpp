@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "factorjoin/kernels.h"
 #include "query/subplan.h"
@@ -248,13 +247,10 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
   // layer's cache can recompute an invalidated subset of a batch, and a
   // session can estimate any mask subset against shared leaves, both still
   // producing values bit-identical to a full-batch run.
-  std::unordered_set<uint64_t> undecomposable;
-  undecomposable.reserve(masks.size());
   std::vector<int> connecting;  // reused across join steps
   auto factor_of = [&](auto&& self, uint64_t mask) -> const BoundFactor* {
     auto it = cache.find(mask);
     if (it != cache.end()) return &it->second;
-    if (undecomposable.count(mask) > 0) return nullptr;
     uint64_t m = mask;
     while (m != 0) {
       size_t a = static_cast<size_t>(std::countr_zero(m));
@@ -273,13 +269,10 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
       BoundFactor joined = JoinBoundFactors(*rf, leaves[a], connecting, arena);
       return &(cache[mask] = std::move(joined));
     }
-    undecomposable.insert(mask);
     return nullptr;
   };
 
-  uint64_t all = query.NumTables() >= 64
-                     ? ~uint64_t{0}
-                     : (uint64_t{1} << query.NumTables()) - 1;
+  uint64_t all = query.AllAliases();
   std::unordered_map<uint64_t, double> out;
   out.reserve(masks.size());
   for (uint64_t mask : masks) {
@@ -290,10 +283,13 @@ FactorJoinEstimator::EstimateSubplansWithLeaves(
     }
     const BoundFactor* factor = factor_of(factor_of, mask);
     if (factor == nullptr) {
-      // No pairwise decomposition (e.g. a disconnected requested mask):
-      // estimate this mask standalone.
-      out[mask] = Estimate(query.InducedSubquery(mask));
-      continue;
+      // Only the empty mask and disconnected masks have no decomposition.
+      if (mask == 0) {
+        out[mask] = 0.0;
+        continue;
+      }
+      throw std::invalid_argument("FactorJoin: disconnected join graph: " +
+                                  query.InducedSubquery(mask).ToString());
     }
     // Floor at one tuple: a zero bound reflects estimator blind spots (e.g.
     // sparse samples), not proven emptiness. Single aliases report their
@@ -340,58 +336,8 @@ FactorJoinEstimator::PrepareSubplans(const Query& query) const {
 }
 
 double FactorJoinEstimator::Estimate(const Query& query) const {
-  if (query.NumTables() == 0) return 0.0;
-  if (query.NumTables() == 1) {
-    const TableRef& ref = query.tables()[0];
-    return estimators_.at(ref.table)
-        ->EstimateFilteredRows(*query.FilterFor(ref.alias));
-  }
-  std::vector<QueryKeyGroup> groups = query.KeyGroups();
-  std::vector<uint64_t> adj = query.AliasAdjacency();
-
-  FactorArena arena;
-  std::vector<BoundFactor> leaves;
-  leaves.reserve(query.NumTables());
-  for (size_t i = 0; i < query.NumTables(); ++i) {
-    leaves.push_back(MakeLeafFactor(query, i, groups, &arena));
-  }
-
-  // Greedy left-deep accumulation starting from the smallest leaf.
-  size_t start = 0;
-  for (size_t i = 1; i < leaves.size(); ++i) {
-    if (leaves[i].card < leaves[start].card) start = i;
-  }
-  BoundFactor current = leaves[start];
-  uint64_t remaining = ((query.NumTables() == 64)
-                            ? ~uint64_t{0}
-                            : (uint64_t{1} << query.NumTables()) - 1) &
-                       ~current.alias_mask;
-  std::vector<int> connecting;
-  while (remaining != 0) {
-    // Next connected alias with the smallest leaf bound.
-    int best = -1;
-    uint64_t m = remaining;
-    while (m != 0) {
-      size_t a = static_cast<size_t>(std::countr_zero(m));
-      m &= m - 1;
-      if ((adj[a] & current.alias_mask) == 0) continue;
-      if (best < 0 || leaves[a].card < leaves[static_cast<size_t>(best)].card) {
-        best = static_cast<int>(a);
-      }
-    }
-    if (best < 0) {
-      throw std::invalid_argument("FactorJoin: disconnected join graph: " +
-                                  query.ToString());
-    }
-    connecting.clear();
-    for (const GroupSpan& g : leaves[static_cast<size_t>(best)].groups) {
-      if (current.FindGroup(g.gid) != nullptr) connecting.push_back(g.gid);
-    }
-    current = JoinBoundFactors(current, leaves[static_cast<size_t>(best)],
-                               connecting, &arena);
-    remaining &= ~(uint64_t{1} << best);
-  }
-  return std::max(current.card, 1.0);
+  uint64_t all = query.AllAliases();  // 0 for no tables, which estimates 0.0
+  return EstimateSubplans(query, {all}).at(all);
 }
 
 double FactorJoinEstimator::ApplyInsert(const std::string& table_name,

@@ -66,15 +66,16 @@ class FactorJoinEstimator : public CardinalityEstimator {
 
   std::string Name() const override { return "factorjoin"; }
 
-  /// Greedy smallest-leaf-first bound (Equation 5). Thread-safe and
+  /// The bound (Equation 5) of the full query: EstimateSubplans(query,
+  /// {all aliases}), or 0.0 for a query with no tables. Thread-safe and
   /// deterministic: concurrent calls on the same trained model return
   /// bit-identical results. Must not run concurrently with an update.
   double Estimate(const Query& query) const override;
 
   /// Progressive sub-plan estimation (Section 5.2): leaf factors are built
   /// once and shared across all masks. Same thread-safety contract as
-  /// Estimate. Note the two code paths may produce different (equally valid)
-  /// bounds for the same sub-plan — see EstimatorService's cache namespaces.
+  /// Estimate. Mask 0 estimates 0.0; a disconnected mask throws
+  /// std::invalid_argument.
   std::unordered_map<uint64_t, double> EstimateSubplans(
       const Query& query, const std::vector<uint64_t>& masks) const override;
 

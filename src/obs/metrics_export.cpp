@@ -63,7 +63,7 @@ void AppendServiceSamples(const std::string& model,
                          "Batched sub-plan requests completed.", m,
                          stats.subplan_requests));
   out->push_back(Counter("fj_subplans_estimated_total",
-                         "Sub-plan estimates produced inside batches.", m,
+                         "Sub-plan estimates the estimator computed.", m,
                          stats.subplans_estimated));
   out->push_back(Counter("fj_errors_total",
                          "Requests completed with an error.", m,

@@ -111,6 +111,12 @@ class Query {
 
   size_t NumTables() const { return tables_.size(); }
 
+  /// Bitmask selecting every alias (tables() bit order); 0 for no tables.
+  uint64_t AllAliases() const {
+    return NumTables() == 64 ? ~uint64_t{0}
+                             : (uint64_t{1} << NumTables()) - 1;
+  }
+
   /// Index of an alias in tables(); throws if unknown.
   size_t AliasIndex(const std::string& alias) const;
   const std::string& TableOf(const std::string& alias) const;

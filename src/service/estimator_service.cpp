@@ -9,16 +9,6 @@
 namespace fj {
 namespace {
 
-// Single-query and batched estimates live in separate cache namespaces:
-// FactorJoin's Estimate (greedy smallest-leaf order) and EstimateSubplans
-// (progressive split-off order) are both valid bounds but can differ for the
-// same sub-plan, so sharing one namespace would make a served value depend
-// on which API populated it first.
-QueryFingerprint BatchKey(const QueryFingerprint& fp) {
-  return {Mix64(fp.lo ^ 0xb4793d1a2c5e6f07ULL),
-          Mix64(fp.hi ^ 0x167f3ac2d4b59e81ULL)};
-}
-
 // A completion callback that fulfils `promise`: each future-returning
 // overload is its callback overload plus this.
 template <class T>
@@ -197,8 +187,12 @@ void EstimatorService::Serve(Request& req) {
         [&] { return ServeBatch(req.query, req.masks, kernel_trace); },
         req.batch_cb);
   } else {
+    // A single estimate is the batch of the full mask: it shares the cache
+    // entry of every batch that asks for the same full join.
+    uint64_t all = req.query.AllAliases();
     run("estimate", 0, requests_,
-        [&] { return ServeSingle(req.query, kernel_trace); }, req.single_cb);
+        [&] { return ServeBatch(req.query, {all}, kernel_trace).at(all); },
+        req.single_cb);
   }
 }
 
@@ -264,29 +258,6 @@ uint64_t EstimatorService::NotifyUpdate(const std::string& table_name) {
 
 void EstimatorService::InvalidateAll() { cache_.Clear(); }
 
-double EstimatorService::ServeSingle(const Query& query,
-                                     obs::RequestTrace* trace) {
-  if (!options_.cache_enabled) return estimator_.EstimateTraced(query, trace);
-  obs::SpanTimer probe_span;
-  QueryFingerprint fp = query.Fingerprint();
-  auto cached = cache_.Lookup(fp);
-  probe_span.Record(trace, obs::Stage::kCacheProbe);
-  if (cached) return *cached;
-  // Snapshot the epoch BEFORE computing: if an update lands while the
-  // estimator runs, the inserted entry is tagged with the pre-update epoch
-  // and dies on its next lookup instead of serving a stale estimate forever.
-  uint64_t epoch = epochs_.Epoch();
-  uint64_t table_bits = 0;
-  for (const TableRef& ref : query.tables()) {
-    table_bits |= epochs_.BitFor(ref.table);
-  }
-  double estimate = estimator_.EstimateTraced(query, trace);
-  obs::SpanTimer insert_span;
-  cache_.Insert(fp, estimate, table_bits, epoch);
-  insert_span.Record(trace, obs::Stage::kCacheProbe);
-  return estimate;
-}
-
 std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
     const Query& query, const std::vector<uint64_t>& masks,
     obs::RequestTrace* trace) {
@@ -294,9 +265,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   // no alias: keying would silently ignore it (so the mask could hit
   // another mask's cache entry), and the insert loop below would index
   // alias_bits out of bounds. Reject the whole request, cache on or off.
-  uint64_t all = query.NumTables() >= 64
-                     ? ~uint64_t{0}
-                     : (uint64_t{1} << query.NumTables()) - 1;
+  uint64_t all = query.AllAliases();
   for (uint64_t mask : masks) {
     if ((mask & ~all) != 0) {
       throw std::out_of_range(
@@ -319,8 +288,10 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   // order, a hit from another parent can differ from what recomputing under
   // *this* parent would give — but every cached value is a valid bound
   // produced by the same trained model.
-  // Epoch snapshot before any estimation (see ServeSingle): entries
-  // inserted below are invalidated by any update racing this batch.
+  // Snapshot the epoch BEFORE computing: if an update lands while the
+  // estimator runs, the entries inserted below are tagged with the
+  // pre-update epoch and die on their next lookup instead of serving a stale
+  // estimate forever.
   uint64_t epoch = epochs_.Epoch();
   // The cache-probe span covers the whole resolve loop: building the keyer
   // (each query component digested once), per-mask keys plus the sharded
@@ -330,7 +301,7 @@ std::unordered_map<uint64_t, double> EstimatorService::ServeBatch(
   std::vector<uint64_t> miss_masks;
   std::vector<QueryFingerprint> miss_fps;
   for (uint64_t mask : masks) {
-    QueryFingerprint fp = BatchKey(keyer.Key(mask));
+    QueryFingerprint fp = keyer.Key(mask);
     if (auto cached = cache_.Lookup(fp)) {
       out.emplace(mask, *cached);
     } else {

@@ -11,11 +11,9 @@
 // Every estimate is keyed by the canonical Query::Fingerprint and served
 // from a sharded LRU cache when possible, so the ~10k sub-plan estimates an
 // optimizer requests per IMDB-JOB query (see query/subplan.h) are computed
-// once and shared across parent queries and across threads. Single-query
-// and batched estimates use disjoint cache namespaces because an
-// estimator's two code paths may compute different (equally valid) bounds
-// for the same sub-plan; within each namespace a request interleaving can
-// never change which API's value is served.
+// once and shared across parent queries and across threads. A single
+// estimate is served as the batch of its query's full mask, so it shares
+// one cache namespace with every batched sub-plan.
 //
 // The wrapped estimator is taken by const reference: estimation is const on
 // CardinalityEstimator precisely so one trained model can be shared by the
@@ -244,7 +242,6 @@ class EstimatorService {
                      const std::function<void()>& complete);
   /// `trace` may be null (tracing disabled); when set, cache-probe and
   /// estimate-kernel spans are added to it.
-  double ServeSingle(const Query& query, obs::RequestTrace* trace);
   std::unordered_map<uint64_t, double> ServeBatch(
       const Query& query, const std::vector<uint64_t>& masks,
       obs::RequestTrace* trace);

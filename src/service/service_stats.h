@@ -20,7 +20,8 @@ struct ServiceStats {
   uint64_t requests = 0;
   /// Batched sub-plan requests completed.
   uint64_t subplan_requests = 0;
-  /// Individual sub-plan estimates produced inside batched requests.
+  /// Sub-plan estimates the estimator computed: cache misses (every mask
+  /// with the cache off), single estimates counting as one-mask batches.
   uint64_t subplans_estimated = 0;
   /// Requests that completed with an exception.
   uint64_t errors = 0;

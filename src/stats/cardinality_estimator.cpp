@@ -16,15 +16,6 @@ std::unordered_map<uint64_t, double> CardinalityEstimator::EstimateSubplans(
   return out;
 }
 
-double CardinalityEstimator::EstimateTraced(const Query& query,
-                                            obs::RequestTrace* trace) const {
-  if (trace == nullptr) return Estimate(query);
-  obs::SpanTimer span;
-  double estimate = Estimate(query);
-  span.Record(trace, obs::Stage::kEstimate);
-  return estimate;
-}
-
 std::unordered_map<uint64_t, double>
 CardinalityEstimator::EstimateSubplansTraced(
     const Query& query, const std::vector<uint64_t>& masks,

@@ -72,9 +72,6 @@ class CardinalityEstimator {
   // virtual directly), which is how EstimatorServiceOptions::enable_tracing
   // turns the hook off.
 
-  /// Estimate() with kernel wall time recorded into `trace`.
-  double EstimateTraced(const Query& query, obs::RequestTrace* trace) const;
-
   /// EstimateSubplans() with kernel wall time recorded into `trace`.
   std::unordered_map<uint64_t, double> EstimateSubplansTraced(
       const Query& query, const std::vector<uint64_t>& masks,

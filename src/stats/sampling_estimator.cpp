@@ -68,20 +68,6 @@ void SamplingEstimator::DrawSample() {
                : static_cast<double>(n) / static_cast<double>(sample_rows_.size());
 }
 
-double SamplingEstimator::EstimateFilteredRows(const Predicate& filter) const {
-  size_t hits = 0;
-  if (!sample_rows_.empty()) {
-    CompiledPredicate compiled(*table_, filter);
-    for (uint32_t r : sample_rows_) {
-      if (compiled.Eval(r)) ++hits;
-    }
-  }
-  // Zero hits bound selectivity below ~1/|sample|, they do not prove
-  // emptiness; report half a sample row to avoid catastrophic
-  // underestimation downstream.
-  return std::max(static_cast<double>(hits), 0.5) * scale_;
-}
-
 const std::vector<uint32_t>& SamplingEstimator::BinCodesFor(
     const Column& col, const Binning& binning) const {
   auto key = std::make_pair(&col, &binning);
@@ -131,6 +117,9 @@ KeyDistResult SamplingEstimator::EstimateKeyDists(
       }
     }
   }
+  // Zero hits bound selectivity below ~1/|sample|, they do not prove
+  // emptiness; report half a sample row to avoid catastrophic
+  // underestimation downstream.
   result.filtered_rows = std::max(static_cast<double>(hits), 0.5) * scale_;
   return result;
 }

@@ -40,10 +40,8 @@ class TableEstimator {
  public:
   virtual ~TableEstimator() = default;
 
-  /// Estimated number of rows satisfying `filter`.
-  virtual double EstimateFilteredRows(const Predicate& filter) const = 0;
-
-  /// Conditional binned join-key distributions under `filter`.
+  /// Conditional binned join-key distributions under `filter` (with no
+  /// keys, just the estimated number of rows satisfying it).
   virtual KeyDistResult EstimateKeyDists(
       const Predicate& filter,
       const std::vector<KeyDistRequest>& keys) const = 0;

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <thread>
+
 #include "exec/true_card.h"
 #include "factorjoin/estimator.h"
 #include "query/subplan.h"
 #include "util/rng.h"
 #include "util/zipf.h"
+#include "workload/imdb_job.h"
+#include "workload/stats_ceb.h"
 
 namespace fj {
 namespace {
@@ -273,6 +280,117 @@ TEST(FactorJoinTest, WorkloadAwareBudgetRuns) {
   cfg.workload_aware_budget = true;
   FactorJoinEstimator fj(db, cfg, &workload);
   EXPECT_GE(fj.Estimate(Figure2Query()), 83.0 - 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// One evaluation order: Estimate is the progressive bound of the full mask.
+// Both benchmark workloads at a small scale, with FactorJoin configured as in
+// bench/method_zoo.h (BayesNet for STATS-CEB, sampling for IMDB-JOB).
+// ---------------------------------------------------------------------------
+
+const Workload& StatsCeb004() {
+  static const std::unique_ptr<Workload> w = [] {
+    StatsCebOptions o;
+    o.scale = 0.04;
+    return MakeStatsCeb(o);
+  }();
+  return *w;
+}
+
+const Workload& ImdbJob004() {
+  static const std::unique_ptr<Workload> w = [] {
+    ImdbJobOptions o;
+    o.scale = 0.04;
+    return MakeImdbJob(o);
+  }();
+  return *w;
+}
+
+FactorJoinConfig ZooConfig(TableEstimatorKind kind, const Database& db) {
+  FactorJoinConfig cfg;
+  cfg.num_bins = 100;
+  cfg.binning = BinningStrategy::kGbsa;
+  cfg.estimator = kind;
+  cfg.sampling_rate = std::clamp(
+      50000.0 / (static_cast<double>(db.TotalRows()) + 1.0), 0.01, 0.5);
+  return cfg;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void ExpectEstimateIsFullMask(const Workload& w, TableEstimatorKind kind) {
+  FactorJoinEstimator fj(w.db, ZooConfig(kind, w.db));
+  ASSERT_FALSE(w.queries.empty());
+  for (const Query& q : w.queries) {
+    auto batch = fj.EstimateSubplans(q, EnumerateConnectedSubsets(q, 1));
+    EXPECT_EQ(Bits(fj.Estimate(q)), Bits(batch.at(q.AllAliases())))
+        << w.name << ": " << q.ToString();
+    for (size_t i = 0; i < q.NumTables(); ++i) {
+      uint64_t alias = uint64_t{1} << i;
+      EXPECT_EQ(Bits(fj.Estimate(q.InducedSubquery(alias))),
+                Bits(batch.at(alias)))
+          << w.name << ": alias " << i << " of " << q.ToString();
+    }
+  }
+}
+
+TEST(FactorJoinEstimatorTest, EstimateIsTheFullSubplanMask) {
+  ExpectEstimateIsFullMask(StatsCeb004(), TableEstimatorKind::kBayesNet);
+  ExpectEstimateIsFullMask(ImdbJob004(), TableEstimatorKind::kSampling);
+}
+
+// Concurrent reads of one trained model must equal serial reads bit for bit.
+// IMDB-JOB's LIKE and OR filters push BayesNet leaves to the sampling
+// fallback, so both models build the sampling estimator's lazy bin-code memo
+// on the read path while four threads race on it. The serial values come
+// from a separately trained, identical model, so the threads start cold.
+TEST(FactorJoinEstimatorTest, ConcurrentReadsMatchSerial) {
+  const Workload& w = ImdbJob004();
+  const size_t n = std::min<size_t>(w.queries.size(), 24);
+  for (TableEstimatorKind kind :
+       {TableEstimatorKind::kSampling, TableEstimatorKind::kBayesNet}) {
+    FactorJoinConfig cfg = ZooConfig(kind, w.db);
+    FactorJoinEstimator shared(w.db, cfg);
+    FactorJoinEstimator serial(w.db, cfg);
+
+    constexpr size_t kThreads = 4;
+    struct Read {
+      double estimate;
+      std::unordered_map<uint64_t, double> batch;
+    };
+    std::vector<std::vector<Read>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t k = 0; k < n; ++k) {
+          const Query& q = w.queries[(k + t * 5) % n];
+          got[t].push_back({shared.Estimate(q),
+                            shared.EstimateSubplans(
+                                q, EnumerateConnectedSubsets(q, 1))});
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t].size(), n);
+      for (size_t k = 0; k < n; ++k) {
+        const Query& q = w.queries[(k + t * 5) % n];
+        const Read& r = got[t][k];
+        EXPECT_EQ(Bits(r.estimate), Bits(serial.Estimate(q))) << q.ToString();
+        auto want = serial.EstimateSubplans(q, EnumerateConnectedSubsets(q, 1));
+        ASSERT_EQ(r.batch.size(), want.size());
+        for (const auto& [mask, value] : want) {
+          EXPECT_EQ(Bits(r.batch.at(mask)), Bits(value))
+              << "mask " << mask << " of " << q.ToString();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

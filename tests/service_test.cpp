@@ -284,11 +284,65 @@ TEST(ServiceTest, CacheSharesSubplansAcrossParentQueries) {
   EXPECT_EQ(served.at(0b001), parent_results.at(0b001));
   EXPECT_EQ(served.at(0b010), parent_results.at(0b010));
 
-  // Single-query Estimate uses its own cache namespace (the two estimator
-  // code paths may produce different valid bounds): the same prefix query
-  // through Estimate must miss instead of returning a batch-path value.
-  service.Estimate(prefix);
-  EXPECT_EQ(service.Stats().cache.misses, misses_before + 1);
+  // A single Estimate is the batch of the full mask, so it shares the
+  // batch path's cache namespace: the prefix query hits the entry the
+  // parent's batch stored for {u, o}, bit for bit.
+  EXPECT_EQ(service.Estimate(prefix), served.at(0b011));
+  EXPECT_EQ(service.Stats().cache.misses, misses_before);
+}
+
+// The reverse direction: a single Estimate fills the entry that a later
+// batch's full mask hits.
+TEST(ServiceTest, SingleEstimateFillsTheBatchFullMaskEntry) {
+  Database db = MakeDb();
+  FactorJoinEstimator estimator = MakeEstimator(db);
+  EstimatorService service(estimator, {.num_threads = 2});
+
+  Query q = ChainQuery(30, 250);
+  uint64_t all = q.AllAliases();
+  double single = service.Estimate(q);
+  EXPECT_EQ(single, estimator.Estimate(q));
+  ServiceStats before = service.Stats();
+  EXPECT_EQ(before.cache.misses, 1u);
+  EXPECT_EQ(before.subplans_estimated, 1u);
+
+  auto served = service.EstimateSubplans(q, {all});
+  EXPECT_EQ(served.at(all), single);
+  ServiceStats after = service.Stats();
+  EXPECT_EQ(after.cache.misses, before.cache.misses);
+  EXPECT_EQ(after.cache.hits, before.cache.hits + 1);
+  EXPECT_EQ(after.subplans_estimated, before.subplans_estimated);
+}
+
+// A requested mask with no decomposition is an error, not a recursion:
+// mask 0 estimates 0.0, and a disconnected mask throws
+// std::invalid_argument from the estimator and through the service, with
+// the cache on and off.
+TEST(ServiceTest, DisconnectedSubplanMaskThrowsAndEmptyMaskIsZero) {
+  Database db = MakeDb();
+  FactorJoinEstimator estimator = MakeEstimator(db);
+  Query q = ChainQuery(30, 250);  // u - o - i: {u, i} is disconnected
+  constexpr uint64_t kUI = 0b101;
+
+  EXPECT_EQ(estimator.EstimateSubplans(q, {0}).at(0), 0.0);
+  EXPECT_THROW(estimator.EstimateSubplans(q, {0b011, kUI}),
+               std::invalid_argument);
+  EXPECT_THROW(estimator.Estimate(q.InducedSubquery(kUI)),
+               std::invalid_argument);
+  EXPECT_EQ(estimator.Estimate(Query()), 0.0);
+
+  for (bool cache : {true, false}) {
+    EstimatorService service(estimator,
+                             {.num_threads = 2, .cache_enabled = cache});
+    EXPECT_EQ(service.EstimateSubplans(q, {0}).at(0), 0.0) << cache;
+    EXPECT_THROW(service.EstimateSubplans(q, {kUI}), std::invalid_argument)
+        << cache;
+    EXPECT_THROW(service.Estimate(q.InducedSubquery(kUI)),
+                 std::invalid_argument)
+        << cache;
+    EXPECT_EQ(service.Estimate(Query()), 0.0) << cache;
+    EXPECT_EQ(service.Stats().errors, 2u) << cache;
+  }
 }
 
 TEST(ServiceTest, AsyncFuturesResolve) {

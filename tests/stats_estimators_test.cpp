@@ -39,7 +39,7 @@ TEST(SamplingEstimatorTest, FullRateIsExact) {
   Table t = MakeCorrelatedTable(500, 1);
   SamplingEstimator est(t, 1.0);
   auto pred = Predicate::Cmp("a", CmpOp::kEq, Literal::Int(2));
-  EXPECT_DOUBLE_EQ(est.EstimateFilteredRows(*pred),
+  EXPECT_DOUBLE_EQ(est.EstimateKeyDists(*pred, {}).filtered_rows,
                    static_cast<double>(CountMatches(t, *pred)));
 }
 
@@ -48,7 +48,7 @@ TEST(SamplingEstimatorTest, PartialRateApproximates) {
   SamplingEstimator est(t, 0.1);
   auto pred = Predicate::Cmp("a", CmpOp::kLe, Literal::Int(1));
   double truth = static_cast<double>(CountMatches(t, *pred));
-  double estimate = est.EstimateFilteredRows(*pred);
+  double estimate = est.EstimateKeyDists(*pred, {}).filtered_rows;
   EXPECT_NEAR(estimate, truth, truth * 0.15);
 }
 
@@ -164,7 +164,8 @@ TEST(DiscretizerTest, LikeReturnsNullopt) {
 TEST(BayesNetTest, UnfilteredMatchesRowCount) {
   Table t = MakeCorrelatedTable(3000, 6);
   BayesNetEstimator est(t, {});
-  EXPECT_NEAR(est.EstimateFilteredRows(*Predicate::True()), 3000.0, 30.0);
+  EXPECT_NEAR(est.EstimateKeyDists(*Predicate::True(), {}).filtered_rows,
+              3000.0, 30.0);
 }
 
 TEST(BayesNetTest, CapturesCorrelationBetterThanIndependence) {
@@ -175,7 +176,7 @@ TEST(BayesNetTest, CapturesCorrelationBetterThanIndependence) {
   auto pred = Predicate::And({Predicate::Cmp("a", CmpOp::kEq, Literal::Int(3)),
                               Predicate::Cmp("b", CmpOp::kEq, Literal::Int(6))});
   double truth = static_cast<double>(CountMatches(t, *pred));
-  double bn = est.EstimateFilteredRows(*pred);
+  double bn = est.EstimateKeyDists(*pred, {}).filtered_rows;
   EXPECT_NEAR(bn, truth, truth * 0.35);
 }
 
@@ -200,7 +201,7 @@ TEST(BayesNetTest, FallsBackOnDisjunction) {
   auto pred = Predicate::Or({Predicate::Cmp("a", CmpOp::kEq, Literal::Int(0)),
                              Predicate::Cmp("a", CmpOp::kEq, Literal::Int(3))});
   double truth = static_cast<double>(CountMatches(t, *pred));
-  double estimate = est.EstimateFilteredRows(*pred);
+  double estimate = est.EstimateKeyDists(*pred, {}).filtered_rows;
   EXPECT_NEAR(estimate, truth, truth * 0.3);
 }
 
@@ -218,7 +219,8 @@ TEST(BayesNetTest, IncrementalUpdateTracksNewRows) {
   est.IncrementalUpdate(t, before);
   auto pred = Predicate::Cmp("a", CmpOp::kEq, Literal::Int(3));
   double truth = static_cast<double>(CountMatches(t, *pred));
-  EXPECT_NEAR(est.EstimateFilteredRows(*pred), truth, truth * 0.3);
+  EXPECT_NEAR(est.EstimateKeyDists(*pred, {}).filtered_rows, truth,
+              truth * 0.3);
 }
 
 TEST(HistogramTest, EqualitySelectivity) {
